@@ -2,7 +2,7 @@
 // the three numerical formats" — full accuracy grid per dataset, including
 // the q sweep for fixed-point that the paper does not report (our best-q
 // fixed recovers most of the paper configuration's clipping loss; see
-// EXPERIMENTS.md).
+// docs/reproducing.md).
 
 #include <cstdio>
 

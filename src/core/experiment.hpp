@@ -83,7 +83,7 @@ std::vector<FormatResult> sweep_formats(const TrainedTask& task, int n,
 /// es swept, float with we swept, fixed-point in the natural pure-fractional
 /// configuration q = n-1 (weights and activations live in [-1, 1); the paper
 /// reports no q sweep, and only this choice reproduces its fixed-point
-/// clipping collapse — see EXPERIMENTS.md).
+/// clipping collapse — see docs/reproducing.md).
 std::vector<num::Format> paper_comparison_formats(int n);
 
 /// Evaluate the paper_comparison_formats set.
