@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <random>
@@ -33,6 +34,20 @@ std::vector<double> random_rows(std::size_t rows, std::size_t dim, std::uint32_t
   std::vector<double> xs(rows * dim);
   for (double& v : xs) v = u(rng);
   return xs;
+}
+
+/// Poll the server's counters until `done` holds or `timeout` passes, and
+/// return the last snapshot. Waits are bounded by time, never by a count.
+template <typename Pred>
+ServerStats wait_for_stats(const Server& server, Pred done,
+                           std::chrono::milliseconds timeout = 10s) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  ServerStats stats = server.stats();
+  while (!done(stats) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+    stats = server.stats();
+  }
+  return stats;
 }
 
 // The acceptance test: across the whole paper format grid, a sample that
@@ -103,11 +118,8 @@ TEST(ServeServer, RequestsFromTwoClientsCoalesceIntoOneMicroBatch) {
 
   // The frames_out counter is bumped just after the write the client already
   // saw; give it a beat.
-  ServerStats stats = server.stats();
-  for (int i = 0; i < 100 && stats.frames_out < 2; ++i) {
-    std::this_thread::sleep_for(1ms);
-    stats = server.stats();
-  }
+  const ServerStats stats =
+      wait_for_stats(server, [](const ServerStats& s) { return s.frames_out >= 2; });
   EXPECT_EQ(stats.connections, 2u);
   EXPECT_EQ(stats.batcher.batches, 1u);
   EXPECT_EQ(stats.batcher.mean_occupancy, 2.0);
@@ -184,11 +196,8 @@ TEST(ServeServer, CorruptFrameDropsTheConnection) {
   // the frame and closes, which the client sees as end-of-stream.
   EXPECT_EQ(client.receive_frame(), std::nullopt);
   // The counter update races the client-visible close by a hair; poll it.
-  ServerStats stats = server.stats();
-  for (int i = 0; i < 100 && stats.bad_frames == 0; ++i) {
-    std::this_thread::sleep_for(1ms);
-    stats = server.stats();
-  }
+  const ServerStats stats =
+      wait_for_stats(server, [](const ServerStats& s) { return s.bad_frames != 0; });
   EXPECT_EQ(stats.bad_frames, 1u);
 
   // A fresh connection still works; the server survived the bad client.
@@ -219,28 +228,39 @@ TEST(ServeServer, StalledClientIsDroppedAndNeverBlocksStopOrOtherClients) {
   Server server(model, opts);
   Client stalled = server.connect();
 
-  // Flood without ever receiving: once the response direction's socket
-  // buffer fills, the server's next write times out and the connection is
-  // dropped — at which point our sends start failing, which is the signal.
+  // Flood without ever receiving. Once the response direction's socket
+  // buffer fills, the server's writes stop making progress, and after
+  // write_timeout it drops the connection (the dp_shard_dropped counter).
+  // The flood ends on that counter or a deadline, never on a send count:
+  // how many sends it takes to fill the buffer and outlast the timeout
+  // depends on the host.
   const std::vector<double> x = random_rows(1, model->input_dim(), 19);
-  bool dropped = false;
-  for (int i = 0; i < 20000 && !dropped; ++i) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  bool send_failed = false;
+  while (server.stats().dropped == 0 && std::chrono::steady_clock::now() < deadline) {
+    if (send_failed) {
+      std::this_thread::sleep_for(1ms);
+      continue;
+    }
     try {
       stalled.send(x);
     } catch (const TransportError&) {
-      dropped = true;
+      send_failed = true;
     }
   }
-  EXPECT_TRUE(dropped) << "server kept buffering for a client that reads nothing";
+  ASSERT_EQ(server.stats().dropped, 1u) << "server kept buffering for a client that reads nothing";
+  // The server closed its end, so the stalled client's sends now fail.
+  EXPECT_THROW(stalled.send(x), TransportError);
 
   // The stalled client's accepted backlog (up to queue_capacity rows) still
   // drains through the batcher — its responses just fail fast against the
   // dropped connection. Wait it out, then a well-behaved client must be
   // served promptly.
-  for (int i = 0; i < 5000 && server.stats().batcher.queue_depth > 0; ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(server.stats().batcher.queue_depth, 0u) << "backlog never drained";
+  EXPECT_EQ(wait_for_stats(server, [](const ServerStats& s) {
+              return s.batcher.queue_depth == 0;
+            }).batcher.queue_depth,
+            0u)
+      << "backlog never drained";
   Client fresh = server.connect();
   runtime::Session direct(model);
   EXPECT_EQ(fresh.predict(x), direct.predict(x));
