@@ -1,11 +1,11 @@
 // Batched inference throughput and latency of the runtime Model/Session API
 // (persistent worker pool, contiguous zero-copy batches), for the 8-bit
-// format families, on all three matvec paths (register-blocked multi-sample
-// kernels, the fused Emac::dot() row path, and the legacy per-MAC step()
-// recurrence), with the bit-identical-results guarantee checked across pool
-// sizes AND across every path. Where the AVX2 kernel dispatched and the
-// batch spans a tile, the blocked path must beat the fused path
-// single-threaded or the bench exits non-zero. This is the
+// format families, on both inference paths (the register-blocked
+// multi-sample kernels and the paper's per-MAC step() recurrence), with the
+// bit-identical-results guarantee checked across pool sizes AND across both
+// paths. Where the AVX2 kernel dispatched and the batch spans a tile, the
+// blocked path must beat the step path single-threaded or the bench exits
+// non-zero. This is the
 // engineering bench for the batch engine (no paper counterpart; the paper
 // reports per-inference hardware latency, see bench_latency).
 //
@@ -14,8 +14,8 @@
 //
 //  * throughput (default): inferences/sec of Session::predict vs pool size,
 //    best-of-N timed repetitions over one large batch. The Session (and its
-//    pool) persists across repetitions — the per-call thread-spawn cost of
-//    the legacy DeepPositron::*_batch API is gone by construction.
+//    pool) persists across repetitions, so no repetition pays a thread
+//    spawn.
 //    -> BENCH_throughput.json
 //  * latency (--latency): per-submit wall-time distribution (p50/p99/mean)
 //    across repeated submits per batch size on one persistent Session — the
@@ -86,7 +86,7 @@ struct Point {
   double bits_per_weight;          // parameter-weighted mean storage bits
   const char* path;
   const char* kernel;  // register-blocked kernel in play: "avx2", "scalar-blocked", or "-"
-  std::size_t tile;    // samples per weight-plane pass (1 = per-sample path)
+  std::size_t tile;    // samples per weight-plane pass (1 = step path)
   std::size_t threads;
   double inferences_per_s;
   double mmacs_per_s;
@@ -161,10 +161,10 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
   std::size_t macs_per_inference = 0;
   bool paths_bit_identical = true;
   for (const std::vector<num::Format>& asn : sweeps) {
-    const auto fused = runtime::Model::create(nn::quantize(net, asn));  // default path
+    const auto blocked = runtime::Model::create(nn::quantize(net, asn));  // default path
     const auto step =
         runtime::Model::create(nn::quantize(net, asn), runtime::ForwardPath::kStep);
-    const std::string label = fused->mixed_format() ? "mixed" : asn.front().name();
+    const std::string label = blocked->mixed_format() ? "mixed" : asn.front().name();
     std::string lf_json = "[";
     for (std::size_t li = 0; li < asn.size(); ++li) {
       if (li != 0) lf_json += ", ";
@@ -173,32 +173,29 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
     lf_json += "]";
     const std::vector<double> flat = random_batch(rows, net.input_dim());
     const runtime::BatchView xs(flat, net.input_dim());
-    const std::vector<int> reference = runtime::Session(fused).predict(xs);
-    macs_per_inference = fused->macs_per_inference();
+    const std::vector<int> reference = runtime::Session(blocked).predict(xs);
+    macs_per_inference = blocked->macs_per_inference();
     const double macs = static_cast<double>(macs_per_inference) * static_cast<double>(rows);
 
     const bool paths_match = runtime::Session(step).predict(xs) == reference;
     if (!paths_match) paths_bit_identical = false;
     std::printf("%s (%zu MACs/inference, kernel=%s tile=%zu)  all paths bit-identical: %s\n",
-                label.c_str(), macs_per_inference, fused->kernel_name(),
-                fused->preferred_tile(), paths_match ? "yes" : "NO <-- BUG");
+                label.c_str(), macs_per_inference, blocked->kernel_name(),
+                blocked->preferred_tile(), paths_match ? "yes" : "NO <-- BUG");
 
-    // Three paths over the same quantized net: the register-blocked
-    // multi-sample kernels (default Session), the per-sample fused dot()
-    // path pinned via allow_blocked = false, and the legacy per-MAC step()
-    // recurrence. All three must agree bit-for-bit on every word.
+    // Both paths over the same quantized net: the register-blocked
+    // multi-sample kernels (default Session) and the per-MAC step()
+    // recurrence. They must agree bit-for-bit on every word.
     struct PathSpec {
       std::shared_ptr<const runtime::Model> model;
       const char* name;
       const char* kernel;
       std::size_t tile;
-      bool allow_blocked;
     };
     const PathSpec paths[] = {
-        {fused, "blocked", fused->kernel_name(), fused->preferred_tile(), true},
-        {fused, "fused", "-", 1, false},
-        {step, "step", "-", 1, true}};
-    double blocked_1t = 0, fused_1t = 0;
+        {blocked, "blocked", blocked->kernel_name(), blocked->preferred_tile()},
+        {step, "step", "-", 1}};
+    double blocked_1t = 0, step_1t = 0;
     for (const PathSpec& spec : paths) {
       std::printf("  [%s]\n", spec.name);
       std::printf("  %8s  %14s  %12s  %10s  %10s  %s\n", "threads", "inferences/s", "MMAC/s",
@@ -207,19 +204,18 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
       for (const std::size_t t : thread_counts) {
         runtime::SessionOptions so;
         so.num_threads = t;
-        so.allow_blocked = spec.allow_blocked;
         runtime::Session session(spec.model, so);
         const bool identical = session.predict(xs) == reference;
         const double secs = best_seconds(session, xs, repeats);
         const double ips = static_cast<double>(rows) / secs;
         if (t == 1) base = ips;
         if (t == 1 && std::strcmp(spec.name, "blocked") == 0) blocked_1t = ips;
-        if (t == 1 && std::strcmp(spec.name, "fused") == 0) fused_1t = ips;
+        if (t == 1 && std::strcmp(spec.name, "step") == 0) step_1t = ips;
         const double speedup = ips / base;
         const double per_core = speedup / static_cast<double>(t);
         std::printf("  %8zu  %14.1f  %12.2f  %9.2fx  %10.3f  %s\n", t, ips, macs / secs / 1e6,
                     speedup, per_core, identical ? "yes" : "NO <-- BUG");
-        points.push_back({label, lf_json, fused->bits_per_weight(), spec.name, spec.kernel,
+        points.push_back({label, lf_json, blocked->bits_per_weight(), spec.name, spec.kernel,
                           spec.tile, t, ips, macs / secs / 1e6, speedup, per_core,
                           identical});
         if (!identical) return 1;
@@ -227,15 +223,15 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
     }
     // Must-win gate: where the SIMD kernel dispatched and the batch spans at
     // least one tile, the blocked path has no excuse to lose to the
-    // per-sample fused path single-threaded — a loss means the kernel layer
+    // per-MAC step path single-threaded — a loss means the kernel layer
     // regressed, so the bench (and CI) fails.
-    if (std::strcmp(fused->kernel_name(), "avx2") == 0 && rows >= fused->preferred_tile() &&
-        blocked_1t <= fused_1t) {
+    if (std::strcmp(blocked->kernel_name(), "avx2") == 0 &&
+        rows >= blocked->preferred_tile() && blocked_1t <= step_1t) {
       std::fprintf(stderr,
-                   "FAIL: %s blocked kernel (%s, tile %zu) did not beat the fused path "
+                   "FAIL: %s blocked kernel (%s, tile %zu) did not beat the step path "
                    "single-threaded: %.1f vs %.1f inferences/s\n",
-                   label.c_str(), fused->kernel_name(), fused->preferred_tile(),
-                   blocked_1t, fused_1t);
+                   label.c_str(), blocked->kernel_name(), blocked->preferred_tile(),
+                   blocked_1t, step_1t);
       return 1;
     }
     std::printf("\n");

@@ -35,6 +35,7 @@
 // fails to beat the text artifact on any paper-grid model, or if no model
 // reaches 2x over the text artifact.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +51,7 @@
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
-#include "runtime/model.hpp"
+#include "runtime/session.hpp"
 
 namespace {
 
@@ -280,20 +281,16 @@ int main(int argc, char** argv) {
   const std::string dpnetz_path = "bench_codec_iris.dpnetz";
   nn::save_quantized_compressed(dpnetz_path, iris);
   const std::shared_ptr<const runtime::Model> shipped = runtime::Model::load(dpnetz_path);
-  const runtime::Model direct{iris};
-  runtime::Scratch s1 = shipped->make_scratch();
-  runtime::Scratch s2 = direct.make_scratch();
+  runtime::Session s1(shipped);
+  runtime::Session s2(runtime::Model::create(iris));
   bool iris_ok = identical(shipped->network(), iris);
   std::mt19937 rng(3);
   std::uniform_real_distribution<double> u(0.0, 1.0);
   for (int i = 0; i < 32 && iris_ok; ++i) {
     const std::vector<double> x{u(rng), u(rng), u(rng), u(rng)};
-    shipped->forward_into(x, s1);
-    direct.forward_into(x, s2);
-    const auto a = s1.activations();
-    const auto b = s2.activations();
-    iris_ok = std::vector<std::uint32_t>(a.begin(), a.end()) ==
-              std::vector<std::uint32_t>(b.begin(), b.end());
+    const auto a = s1.forward_bits(x);
+    const auto b = s2.forward_bits(x);
+    iris_ok = std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
   std::remove(dpnetz_path.c_str());
   std::printf("\n  iris 4-10-3 posit<8,1>: text %zu B -> dpnetz %zu B (%.2fx), "

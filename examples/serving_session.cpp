@@ -18,7 +18,7 @@ int main() {
   std::printf("== dp::runtime serving session ==\n\n");
 
   // 1. Train + quantize once, then freeze the result into a shared Model.
-  //    The Model pre-decodes the weight planes at construction; everything
+  //    The Model packs the kernels' weight planes at construction; everything
   //    in it is immutable and safe to share across threads and Sessions.
   const core::TrainedTask task = core::prepare_task(core::iris_task());
   const auto model =

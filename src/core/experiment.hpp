@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "nn/deep_positron.hpp"
 #include "nn/mlp.hpp"
 #include "nn/trainer.hpp"
 #include "numeric/format.hpp"
+#include "runtime/session.hpp"
 
 namespace dp::core {
 

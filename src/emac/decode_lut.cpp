@@ -35,14 +35,14 @@ DecodedOp decode_operand(std::uint32_t bits, const num::Format& fmt) {
   switch (fmt.kind()) {
     case num::Kind::kPosit: {
       const num::PositFormat& f = fmt.posit();
-      e.bits = bits & f.mask();
-      if (e.bits == f.zero_pattern()) {
+      const std::uint32_t b = bits & f.mask();
+      if (b == f.zero_pattern()) {
         e.kind = DecodedOp::kZero;
-      } else if (e.bits == f.nar_pattern()) {
+      } else if (b == f.nar_pattern()) {
         e.kind = DecodedOp::kNaR;
       } else {
         num::PositRawDecode d;
-        num::posit_decode_raw(e.bits, f, d);
+        num::posit_decode_raw(b, f, d);
         e.kind = DecodedOp::kFinite;
         e.sign = d.sign;
         e.sf = d.sf;
@@ -54,8 +54,7 @@ DecodedOp decode_operand(std::uint32_t bits, const num::Format& fmt) {
     }
     case num::Kind::kFloat: {
       const num::FloatFormat& f = fmt.flt();
-      e.bits = bits & f.mask();
-      const num::FloatRawDecode d = num::float_decode_raw(e.bits, f);
+      const num::FloatRawDecode d = num::float_decode_raw(bits & f.mask(), f);
       e.kind = d.sig == 0 ? DecodedOp::kZero : DecodedOp::kFinite;
       e.sign = d.sign;
       e.sf = d.exp;
@@ -66,8 +65,7 @@ DecodedOp decode_operand(std::uint32_t bits, const num::Format& fmt) {
     }
     case num::Kind::kFixed: {
       const num::FixedFormat& f = fmt.fixed();
-      e.bits = bits & f.mask();
-      const std::int64_t raw = num::fixed_raw(e.bits, f);
+      const std::int64_t raw = num::fixed_raw(bits & f.mask(), f);
       e.kind = raw == 0 ? DecodedOp::kZero : DecodedOp::kFinite;
       e.sig = static_cast<std::uint64_t>(raw);  // bit-cast; sign rides along
       e.ssig = raw;
@@ -98,6 +96,16 @@ std::shared_ptr<const DecodeLut> shared_decode_lut(const num::Format& fmt) {
   const std::lock_guard<std::mutex> lock(mutex);
   const auto [it, inserted] = cache.emplace(key, std::move(lut));
   return it->second;
+}
+
+void Emac::decode_plane(const std::uint32_t* bits, std::size_t count, DecodedOp* out) const {
+  const num::Format& fmt = format();
+  if (const std::shared_ptr<const DecodeLut> lut = shared_decode_lut(fmt)) {
+    const std::uint32_t mask = (std::uint32_t{1} << fmt.total_bits()) - 1;
+    for (std::size_t i = 0; i < count; ++i) out[i] = (*lut)[bits[i] & mask];
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) out[i] = decode_operand(bits[i], fmt);
 }
 
 }  // namespace dp::emac

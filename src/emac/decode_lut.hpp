@@ -2,15 +2,12 @@
 // Process-wide registry of immutable operand-decode lookup tables, shared by
 // every EMAC unit of the same format.
 //
-// Inference pushes millions of operands through the units, so each fused
-// EMAC fronts its decode with a 2^n-entry table of pre-decoded operands.
-// Before this registry each PositEmacFast instance rebuilt its own table,
-// which made Emac::clone() — the per-thread replication point of the batch
-// engine — cost 2^n decodes per worker thread per layer. Tables are pure
-// functions of the format, so they are built once, cached behind a
-// shared_ptr, and handed out to every unit (and to the engine's weight-plane
-// pre-decode). Entries are immutable after construction; concurrent readers
-// need no synchronization.
+// Inference pushes millions of operands through the units and kernels, so
+// operand decode goes through a 2^n-entry table of pre-decoded operands.
+// Tables are pure functions of the format, so they are built once, cached
+// behind a shared_ptr, and handed out to every unit, every clone() and every
+// kernel. Entries are immutable after construction; concurrent readers need
+// no synchronization.
 
 #include <cstdint>
 #include <memory>
@@ -35,17 +32,5 @@ std::shared_ptr<const DecodeLut> shared_decode_lut(const num::Format& fmt);
 /// Decode one pattern without a table (the wide-format fallback and the
 /// builder's kernel). Exactly matches the corresponding LUT entry.
 DecodedOp decode_operand(std::uint32_t bits, const num::Format& fmt);
-
-/// Shared Emac::decode_plane body: LUT gather when a table exists (`mask`
-/// is the format's width mask), per-operand decode otherwise.
-inline void decode_plane_with(const DecodeLut* lut, const num::Format& fmt,
-                              std::uint32_t mask, const std::uint32_t* bits,
-                              std::size_t count, DecodedOp* out) {
-  if (lut != nullptr) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = (*lut)[bits[i] & mask];
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) out[i] = decode_operand(bits[i], fmt);
-}
 
 }  // namespace dp::emac

@@ -11,7 +11,6 @@ FixedEmac::FixedEmac(const num::FixedFormat& fmt, std::size_t k)
   if (accumulator_width() > 120) {
     throw std::invalid_argument("FixedEmac: accumulator exceeds 120 bits");
   }
-  lut_ = shared_decode_lut(format_);
 }
 
 void FixedEmac::reset(std::uint32_t bias_bits) {
@@ -40,27 +39,6 @@ std::uint32_t FixedEmac::result() const {
 
 std::size_t FixedEmac::accumulator_width() const {
   return accumulator_width_eq3(fmt_.max_value(), fmt_.min_positive(), k_);
-}
-
-void FixedEmac::decode_plane(const std::uint32_t* bits, std::size_t count,
-                             DecodedOp* out) const {
-  decode_plane_with(lut_.get(), format_, fmt_.mask(), bits, count, out);
-}
-
-std::uint32_t FixedEmac::dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                             const DecodedOp* activations, std::size_t count) {
-  if (count > k_) throw std::logic_error("FixedEmac::dot: more than k terms");
-  // The sign-extended raw integers ride in DecodedOp::ssig, so the whole row
-  // is a plain int64 multiply-add chain into the 128-bit register.
-  __int128 acc = static_cast<__int128>(num::fixed_raw(bias_bits, fmt_)) << fmt_.q;
-  for (std::size_t i = 0; i < count; ++i) {
-    acc += static_cast<__int128>(weights[i].ssig * activations[i].ssig);
-  }
-  const __int128 shifted = acc >> fmt_.q;
-  const __int128 lo = fmt_.raw_min();
-  const __int128 hi = fmt_.raw_max();
-  const __int128 clipped = shifted < lo ? lo : (shifted > hi ? hi : shifted);
-  return num::fixed_from_raw(static_cast<std::int64_t>(clipped), fmt_);
 }
 
 }  // namespace dp::emac

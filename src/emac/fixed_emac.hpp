@@ -7,7 +7,6 @@
 // then shifted right by q bits (truncation) and clipped at the maximum
 // magnitude — exactly the datapath of the figure.
 
-#include "emac/decode_lut.hpp"
 #include "emac/emac.hpp"
 
 namespace dp::emac {
@@ -21,14 +20,8 @@ class FixedEmac final : public Emac {
   void step(std::uint32_t weight_bits, std::uint32_t activation_bits) override;
   std::uint32_t result() const override;
   std::unique_ptr<Emac> clone() const override {
-    // The decode table comes from the shared registry, so clones reuse it.
     return std::make_unique<FixedEmac>(fmt_, k_);
   }
-
-  void decode_plane(const std::uint32_t* bits, std::size_t count,
-                    DecodedOp* out) const override;
-  std::uint32_t dot(std::uint32_t bias_bits, const DecodedOp* weights,
-                    const DecodedOp* activations, std::size_t count) override;
 
   const num::Format& format() const override { return format_; }
   std::size_t max_terms() const override { return k_; }
@@ -40,7 +33,6 @@ class FixedEmac final : public Emac {
   std::size_t k_;
   std::size_t steps_ = 0;
   __int128 acc_ = 0;  // 2q fraction bits
-  std::shared_ptr<const DecodeLut> lut_;  ///< shared sign-extension table; null iff n > 16
 };
 
 }  // namespace dp::emac

@@ -46,8 +46,8 @@ std::uint32_t readout_fixed(const AccKulischWide&, const num::FixedFormat&) {
   throw std::logic_error("MatmulKernel: fixed family never selects the wide register");
 }
 
-/// Final exact reduction of one finished lane: the same is_zero/readout/
-/// encode sequence as the fused dot_impl paths, so the rounded pattern is
+/// Final exact reduction of one finished lane: the same NaR/zero/readout/
+/// encode sequence as each EMAC model's result(), so the rounded pattern is
 /// bit-identical by construction.
 template <typename Acc>
 std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds) {
@@ -75,7 +75,7 @@ std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds
 }
 
 /// The portable register-blocked kernel: an 8-sample tile, one accum.hpp
-/// policy value per lane, the exact dot_impl recurrence per lane. Works for
+/// policy value per lane, the exact step() integer per lane. Works for
 /// all three register widths (the AVX2 kernel only covers the int64 case).
 template <typename Acc>
 class ScalarBlockedKernel final : public MatmulKernel {
@@ -181,7 +181,7 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       break;
     }
   }
-  if (out.need_bits > 250) return false;  // same ceiling as the fused units
+  if (out.need_bits > 250) return false;  // same ceiling as the EMAC units
   out.acc_kind = select_acc_kind(out.need_bits);
   return true;
 }
@@ -240,8 +240,8 @@ PackedPlane MatmulKernel::pack_plane(const DecodedOp* weights, std::size_t rows,
       p.shift[r * p.k + i] = d.sf + spec_.sf_bias;
     }
     p.row_kinds[r] = static_cast<std::uint8_t>(kinds);
-    // Resolve the bias to its accumulator image once, exactly as the fused
-    // dot_impl bias paths do per call.
+    // Resolve the bias to its accumulator image once, exactly as each EMAC
+    // model's reset() loads it.
     switch (spec_.fmt.kind()) {
       case num::Kind::kPosit: {
         const num::PositFormat& f = spec_.fmt.posit();

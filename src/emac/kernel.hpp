@@ -1,13 +1,12 @@
 #pragma once
-// Register-blocked multi-sample EMAC matmul kernels — the batched counterpart
-// of the fused Emac::dot() row path.
+// Register-blocked multi-sample EMAC matmul kernels — the fast inference
+// path; the step() recurrence of emac.hpp is the oracle they must match.
 //
-// dot() streams one activation vector against a weight plane: every sample
-// re-reads the whole plane. A MatmulKernel instead processes a TILE of
-// samples per weight-plane pass — per weight row it keeps one exact
-// accumulator per sample lane in registers, so each weight element is loaded
-// once and multiplied into every lane before moving on. The arithmetic is
-// the same integer shift-and-add recurrence as dot():
+// A MatmulKernel processes a TILE of samples per weight-plane pass — per
+// weight row it keeps one exact accumulator per sample lane in registers, so
+// each weight element is loaded once and multiplied into every lane before
+// moving on. Operands are pre-decoded (DecodedOp), so the inner loop is one
+// integer shift-and-add per (weight, sample) pair:
 //
 //     acc[s] += ssig_w * ssig_a[s]  <<  (sf_w + sf_a[s] + sf_bias)
 //
@@ -18,9 +17,9 @@
 // to < 2^(need_bits - 1)), any accumulation order — per-sample, blocked, or
 // SIMD-lane-split — produces the identical integer, hence the identical
 // readout and the identical rounded pattern. The final exact reduction
-// reuses the accum.hpp policies and the format encoders verbatim, so the
-// kernel output is bit-identical to both Emac::dot() and the legacy step()
-// recurrence for every input (tests/emac/kernel_differential_test.cpp).
+// uses the accum.hpp policies and the format encoders, so the kernel output
+// is bit-identical to the step() recurrence for every input
+// (tests/emac/kernel_differential_test.cpp).
 //
 // Two implementations sit behind MatmulKernel::create():
 //  * avx2 — 4 int64 lanes per ymm register, 4 registers = a 16-sample tile;
@@ -49,8 +48,8 @@ namespace dp::emac {
 inline constexpr std::size_t kMaxKernelTile = 16;
 
 /// Everything the inner loops and the final readout need, precomputed once
-/// per (format, k) at kernel creation. The shift constants mirror the fused
-/// dot() frames exactly:
+/// per (format, k) at kernel creation. The shift constants place every
+/// product in the step() accumulator's frame:
 ///  * posit — sf_bias = 2S, frame = 2S + 2(P-1), bias shift = sf + 2S + P-1.
 ///  * float — sf_bias = -2, frame = 2*bias + 2*wf - 2, bias shift =
 ///    exp + bias + wf - 2; zero patterns decode with sf == 1 (zero_sf), which
@@ -111,11 +110,11 @@ class MatmulKernel {
   /// via DP_FORCE_SCALAR_KERNEL, and the bound fits int64; the portable
   /// scalar-blocked kernel otherwise. Returns nullptr when no kernel
   /// supports the combination (bound beyond 250 bits, zero k): callers fall
-  /// back to the per-sample dot() path.
+  /// back to the step() recurrence.
   static std::unique_ptr<MatmulKernel> create(const num::Format& fmt, std::size_t k);
 
   /// The portable scalar-blocked kernel, unconditionally — the differential
-  /// suite drives it against create() and the dot()/step() oracles.
+  /// suite drives it against create() and the step() oracle.
   static std::unique_ptr<MatmulKernel> create_scalar(const num::Format& fmt,
                                                      std::size_t k);
 
@@ -140,7 +139,7 @@ class MatmulKernel {
   /// out[r*acts.tile + s] = encoded dot of weight row r with sample s, for
   /// every r < weights.rows and s < samples. samples must be <=
   /// min(acts.tile, kMaxKernelTile). Lanes >= samples of `out` are left
-  /// untouched. Bit-identical to dot()/step() per the header contract.
+  /// untouched. Bit-identical to step() per the header contract.
   virtual void matmul(const PackedPlane& weights, const ActTile& acts,
                       std::size_t samples, std::uint32_t* out) const = 0;
 

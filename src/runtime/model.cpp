@@ -13,29 +13,24 @@ namespace dp::runtime {
 namespace {
 
 /// DP_FORCE_STEP_PATH=1 (any value other than unset/empty/"0") forces every
-/// model onto the legacy per-MAC step() path — the no-rebuild cross-check
-/// knob documented in docs/reproducing.md.
+/// model onto the paper's per-MAC step() recurrence — the no-rebuild
+/// cross-check knob documented in docs/reproducing.md.
 bool step_path_forced() {
   const char* v = std::getenv("DP_FORCE_STEP_PATH");
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
-}  // namespace
-
-Scratch::Scratch(const nn::QuantizedNetwork& net) {
-  emacs_.reserve(net.layers.size());
-  std::size_t widest = net.input_dim();
-  std::size_t widest_in = net.input_dim();
+/// One EMAC unit per layer, in that layer's format and fan-in.
+std::vector<std::unique_ptr<emac::Emac>> make_units(const nn::QuantizedNetwork& net) {
+  std::vector<std::unique_ptr<emac::Emac>> units;
+  units.reserve(net.layers.size());
   for (std::size_t li = 0; li < net.layers.size(); ++li) {
-    const nn::QuantizedLayer& layer = net.layers[li];
-    emacs_.push_back(emac::make_emac(net.layer_format(li), layer.fan_in));
-    widest = std::max(widest, layer.fan_out);
-    widest_in = std::max(widest_in, layer.fan_in);
+    units.push_back(emac::make_emac(net.layer_format(li), net.layers[li].fan_in));
   }
-  act_.reserve(widest);
-  next_.reserve(widest);
-  act_dec_.reserve(widest_in);
+  return units;
 }
+
+}  // namespace
 
 Model::Model(nn::QuantizedNetwork network, ForwardPath path)
     : net_(std::move(network)), path_(step_path_forced() ? ForwardPath::kStep : path) {
@@ -45,46 +40,31 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
   nn::validate_layer_formats(net_);
   // Fails fast on unsupported format/fan-in combinations and provides the
   // units that decode the weight planes below.
-  Scratch probe(net_);
-  if (path_ == ForwardPath::kFused) {
-    weight_planes_.resize(net_.layers.size());
-    for (std::size_t li = 0; li < net_.layers.size(); ++li) {
-      const nn::QuantizedLayer& layer = net_.layers[li];
-      weight_planes_[li].resize(layer.weights.size());
-      probe.emacs_[li]->decode_plane(layer.weights.data(), layer.weights.size(),
-                                     weight_planes_[li].data());
-    }
-    // Blocked multi-sample kernels: all-or-nothing so forward_tile_into
-    // never mixes kernel and per-sample layers. Dispatch (AVX2 vs portable,
-    // DP_FORCE_SCALAR_KERNEL) — and with it the accumulator width — is
-    // resolved here PER LAYER, against each layer's own format: in a mixed
-    // model one layer may take the AVX2 int64 kernel while a wider-quire
-    // neighbour takes the scalar-blocked one (kernel_name() then reports
-    // "mixed").
-    kernels_.reserve(net_.layers.size());
-    bool blocked = true;
-    for (std::size_t li = 0; li < net_.layers.size() && blocked; ++li) {
-      auto kern =
-          emac::MatmulKernel::create(net_.layer_format(li), net_.layers[li].fan_in);
-      if (kern == nullptr) {
-        blocked = false;
-        break;
-      }
-      kernels_.push_back(std::move(kern));
-    }
-    if (blocked) {
-      tile_ = kernels_.front()->tile();
-      packed_planes_.reserve(net_.layers.size());
-      for (std::size_t li = 0; li < net_.layers.size(); ++li) {
-        const nn::QuantizedLayer& layer = net_.layers[li];
-        tile_ = std::min(tile_, kernels_[li]->tile());
-        packed_planes_.push_back(kernels_[li]->pack_plane(
-            weight_planes_[li].data(), layer.fan_out, layer.bias.data()));
-      }
-    } else {
+  const std::vector<std::unique_ptr<emac::Emac>> units = make_units(net_);
+  if (path_ == ForwardPath::kStep) return;
+  // Blocked kernels are all-or-nothing, so forward_tile_into never mixes
+  // kernel and step layers. Dispatch (AVX2 vs portable,
+  // DP_FORCE_SCALAR_KERNEL) — and with it the accumulator width — is
+  // resolved PER LAYER, against each layer's own format: in a mixed model
+  // one layer may take the AVX2 int64 kernel while a wider-quire neighbour
+  // takes the scalar-blocked one (kernel_name() then reports "mixed").
+  for (std::size_t li = 0; li < net_.layers.size(); ++li) {
+    auto kern = emac::MatmulKernel::create(net_.layer_format(li), net_.layers[li].fan_in);
+    if (kern == nullptr) {
       kernels_.clear();
-      tile_ = 1;
+      return;
     }
+    kernels_.push_back(std::move(kern));
+  }
+  tile_ = kernels_.front()->tile();
+  std::vector<emac::DecodedOp> decoded;
+  for (std::size_t li = 0; li < net_.layers.size(); ++li) {
+    const nn::QuantizedLayer& layer = net_.layers[li];
+    decoded.resize(layer.weights.size());
+    units[li]->decode_plane(layer.weights.data(), layer.weights.size(), decoded.data());
+    tile_ = std::min(tile_, kernels_[li]->tile());
+    packed_planes_.push_back(
+        kernels_[li]->pack_plane(decoded.data(), layer.fan_out, layer.bias.data()));
   }
 }
 
@@ -97,10 +77,15 @@ std::shared_ptr<const Model> Model::load(const std::string& path, ForwardPath fo
 }
 
 Scratch Model::make_scratch() const {
-  // Fresh units carry only immutable configuration (the decode tables come
-  // from the process-wide shared registry, so construction is cheap), never
-  // accumulator or buffer state.
-  return Scratch(net_);
+  Scratch scratch;
+  // Step-path units are cheap to build: their decode tables come from the
+  // process-wide shared registry.
+  if (kernels_.empty()) scratch.emacs_ = make_units(net_);
+  std::size_t widest = net_.input_dim();
+  for (const nn::QuantizedLayer& layer : net_.layers) widest = std::max(widest, layer.fan_out);
+  scratch.bits_.reserve(widest * tile_);
+  scratch.next_.reserve(widest * tile_);
+  return scratch;
 }
 
 std::uint32_t Model::relu(std::uint32_t bits, const num::Format& fmt) {
@@ -126,60 +111,6 @@ std::uint32_t Model::relu(std::uint32_t bits, const num::Format& fmt) {
   throw std::logic_error("runtime::Model::relu: bad kind");
 }
 
-void Model::forward_into(std::span<const double> x, Scratch& scratch) const {
-  if (x.size() != net_.input_dim()) {
-    throw std::invalid_argument("runtime::Model::forward_into: bad input size");
-  }
-  std::vector<std::uint32_t>& act = scratch.act_;
-  std::vector<std::uint32_t>& next = scratch.next_;
-  act.clear();
-  for (const double v : x) act.push_back(net_.input_format().from_double(v));
-
-  const bool fused = path_ == ForwardPath::kFused;
-  for (std::size_t li = 0; li < net_.layers.size(); ++li) {
-    const nn::QuantizedLayer& layer = net_.layers[li];
-    const num::Format& fmt = net_.layer_format(li);
-    // Activations produced upstream carry the previous layer's format; at a
-    // mixed boundary re-encode them into this layer's before they feed the
-    // layer's EMACs.
-    if (li > 0 && !(net_.layer_format(li - 1) == fmt)) {
-      for (std::uint32_t& a : act) a = num::convert(a, net_.layer_format(li - 1), fmt);
-    }
-    emac::Emac& unit = *scratch.emacs_[li];
-    next.assign(layer.fan_out, 0);
-    if (fused) {
-      // Decode this layer's activation vector once for all fan_out neurons;
-      // the static weights were decoded once at model construction.
-      std::vector<emac::DecodedOp>& adec = scratch.act_dec_;
-      adec.resize(layer.fan_in);
-      unit.decode_plane(act.data(), layer.fan_in, adec.data());
-      const emac::DecodedOp* wplane = weight_planes_[li].data();
-      for (std::size_t j = 0; j < layer.fan_out; ++j) {
-        std::uint32_t out =
-            unit.dot(layer.bias[j], wplane + j * layer.fan_in, adec.data(), layer.fan_in);
-        if (layer.activation == nn::Activation::kReLU) out = relu(out, fmt);
-        next[j] = out;
-      }
-    } else {
-      for (std::size_t j = 0; j < layer.fan_out; ++j) {
-        unit.reset(layer.bias[j]);
-        const std::uint32_t* wrow = layer.weights.data() + j * layer.fan_in;
-        for (std::size_t i = 0; i < layer.fan_in; ++i) {
-          unit.step(wrow[i], act[i]);
-        }
-        std::uint32_t out = unit.result();
-        if (layer.activation == nn::Activation::kReLU) out = relu(out, fmt);
-        next[j] = out;
-      }
-    }
-    act.swap(next);
-  }
-}
-
-int Model::readout_argmax(const Scratch& scratch) const {
-  return argmax_bits(scratch.activations());
-}
-
 int Model::argmax_bits(std::span<const std::uint32_t> bits) const {
   const num::Format& fmt = net_.output_format();
   int best = 0;
@@ -203,24 +134,8 @@ const char* Model::kernel_name() const {
   return name;
 }
 
-Model::TileScratch Model::make_tile_scratch() const {
-  TileScratch ts;
-  if (!kernels_.empty()) {
-    std::size_t widest = net_.input_dim();
-    for (const nn::QuantizedLayer& layer : net_.layers) {
-      widest = std::max(widest, layer.fan_out);
-    }
-    ts.bits_.reserve(widest * tile_);
-    ts.next_.reserve(widest * tile_);
-  }
-  return ts;
-}
-
 void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
-                              TileScratch& scratch, std::uint32_t* out) const {
-  if (kernels_.empty()) {
-    throw std::logic_error("runtime::Model::forward_tile_into: no blocked path");
-  }
+                              Scratch& scratch, std::uint32_t* out) const {
   if (nrows == 0 || nrows > tile_ || row0 + nrows > xs.rows()) {
     throw std::invalid_argument("runtime::Model::forward_tile_into: bad tile range");
   }
@@ -231,8 +146,8 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
   std::vector<std::uint32_t>& bits = scratch.bits_;
   std::vector<std::uint32_t>& next = scratch.next_;
   // Quantize the tile straight into the lane-interleaved layout the kernels
-  // consume: element i of sample s at [i*tile + s]. Pad lanes stay zero
-  // (never read: pack_acts and the output copy only touch s < nrows).
+  // consume: element i of sample s at [i*tile + s]. Pad lanes stay zero and
+  // are never read: every loop below stops at s < nrows.
   const std::size_t in_dim = net_.input_dim();
   bits.assign(in_dim * tile, 0);
   for (std::size_t s = 0; s < nrows; ++s) {
@@ -244,8 +159,8 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
   for (std::size_t li = 0; li < net_.layers.size(); ++li) {
     const nn::QuantizedLayer& layer = net_.layers[li];
     const num::Format& fmt = net_.layer_format(li);
-    // Mixed boundary: re-encode the live lanes only — pad lanes are zero and
-    // never read (pack_acts and the output copy stop at s < nrows).
+    // Activations produced upstream carry the previous layer's format; at a
+    // mixed boundary re-encode them into this layer's.
     if (li > 0 && !(net_.layer_format(li - 1) == fmt)) {
       const num::Format& prev = net_.layer_format(li - 1);
       for (std::size_t i = 0; i < layer.fan_in; ++i) {
@@ -254,10 +169,24 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
         }
       }
     }
-    const emac::MatmulKernel& kern = *kernels_[li];
-    kern.pack_acts(bits.data(), layer.fan_in, nrows, tile, scratch.acts_);
     next.resize(layer.fan_out * tile);
-    kern.matmul(packed_planes_[li], scratch.acts_, nrows, next.data());
+    if (kernels_.empty()) {
+      // The paper's neuron: reset to the bias, one exact step per
+      // (weight, activation) pair, one rounding at readout.
+      emac::Emac& unit = *scratch.emacs_[li];
+      for (std::size_t s = 0; s < nrows; ++s) {
+        for (std::size_t j = 0; j < layer.fan_out; ++j) {
+          unit.reset(layer.bias[j]);
+          const std::uint32_t* wrow = layer.weights.data() + j * layer.fan_in;
+          for (std::size_t i = 0; i < layer.fan_in; ++i) unit.step(wrow[i], bits[i * tile + s]);
+          next[j * tile + s] = unit.result();
+        }
+      }
+    } else {
+      const emac::MatmulKernel& kern = *kernels_[li];
+      kern.pack_acts(bits.data(), layer.fan_in, nrows, tile, scratch.acts_);
+      kern.matmul(packed_planes_[li], scratch.acts_, nrows, next.data());
+    }
     if (layer.activation == nn::Activation::kReLU) {
       for (std::size_t j = 0; j < layer.fan_out; ++j) {
         std::uint32_t* lane = next.data() + j * tile;

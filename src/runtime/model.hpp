@@ -2,19 +2,18 @@
 // runtime::Model — the immutable, shareable half of the inference API.
 //
 // A Model wraps a QuantizedNetwork together with everything derived from it
-// that is read-only at serving time: the pre-decoded weight planes for the
-// fused Emac::dot() kernels and the validated per-layer EMAC configuration.
-// Once constructed it is never mutated, so any number of Sessions (and any
-// number of threads inside each Session's worker pool) can share one Model
-// via std::shared_ptr<const Model>.
+// that is read-only at serving time: the validated per-layer EMAC
+// configuration and, when every layer has one, the register-blocked matmul
+// kernels with their packed weight planes. Once constructed it is never
+// mutated, so any number of Sessions (and any number of threads inside each
+// Session's worker pool) can share one Model via std::shared_ptr<const Model>.
 //
-// All mutable inference state — the per-layer EMAC accumulators and the
-// activation ping-pong buffers — lives in a Scratch. A Scratch must never be
+// All mutable inference state lives in a Scratch. A Scratch must never be
 // shared between threads; Sessions keep one per worker-pool slot.
 //
-// Every path through forward_into (fused or step, any Scratch, any thread)
-// produces bit-identical outputs: rows are independent and each is computed
-// by the same deterministic EMAC recurrence.
+// Inference runs one of two paths, and both produce the same bits: rows are
+// independent and the kernels compute the exact integer the paper's EMAC
+// recurrence computes (tests/emac/kernel_differential_test.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -30,48 +29,40 @@
 
 namespace dp::runtime {
 
-/// Which matvec kernel Model::forward_into drives.
-///  * kFused — one Emac::dot() call per neuron against the model's
-///    pre-decoded weight planes and a per-sample pre-decoded activation
-///    vector (the hot path; bit-identical to kStep, see
-///    tests/nn/fused_path_test.cpp).
-///  * kStep — the legacy reset/step*k/result recurrence, one virtual call
-///    per MAC. Kept for cross-checking; also forced for every model by
-///    setting the environment variable DP_FORCE_STEP_PATH=1.
-enum class ForwardPath { kFused, kStep };
+/// Which path Model::forward_tile_into drives.
+///  * kBlocked — the register-blocked MatmulKernels, a tile of samples per
+///    weight-plane pass, when every layer has a kernel; otherwise (a layer
+///    whose exact-width bound exceeds 250 bits) the step recurrence.
+///  * kStep — the paper's reset/step*k/result recurrence, one virtual call
+///    per MAC: the oracle. Also forced for every model by setting the
+///    environment variable DP_FORCE_STEP_PATH=1.
+enum class ForwardPath { kBlocked, kStep };
 
-/// Per-thread mutable inference state: one EMAC per layer (neurons of a
-/// layer share the unit in this software model; hardware instantiates one
-/// per neuron — see dp::arch for the parallel-latency model) plus the
-/// activation ping-pong buffers. Reusable across any number of samples;
-/// never share one Scratch between threads.
+/// Per-thread mutable inference state for Model::forward_tile_into: the
+/// lane-interleaved activation buffers, plus the packed activation tile (the
+/// blocked path) or one EMAC per layer (the step path; neurons of a layer
+/// share the unit in this software model, hardware instantiates one per
+/// neuron — see dp::arch). Reusable across any number of calls; never share
+/// one Scratch between threads.
 class Scratch {
- public:
-  explicit Scratch(const nn::QuantizedNetwork& net);
-
-  /// The readout activations (network-format bit patterns) left by the last
-  /// Model::forward_into call; valid until the next call with this Scratch.
-  std::span<const std::uint32_t> activations() const { return act_; }
-
  private:
   friend class Model;
-  std::vector<std::unique_ptr<emac::Emac>> emacs_;  // one per layer
-  std::vector<std::uint32_t> act_;                  // current activations
-  std::vector<std::uint32_t> next_;                 // next layer's outputs
-  std::vector<emac::DecodedOp> act_dec_;            // pre-decoded activations
+  std::vector<std::unique_ptr<emac::Emac>> emacs_;  // step path: one per layer
+  emac::ActTile acts_;                              // blocked path
+  std::vector<std::uint32_t> bits_;  // current activations, [i*tile + s]
+  std::vector<std::uint32_t> next_;  // next layer's outputs, same layout
 };
 
 class Model {
  public:
-  /// Validates every format/fan-in combination and pre-decodes the static
-  /// weight memories (fused path only; a step-path model never reads the
-  /// planes, and a DecodedOp is 8x the raw pattern size).
-  explicit Model(nn::QuantizedNetwork network, ForwardPath path = ForwardPath::kFused);
+  /// Validates every format/fan-in combination and, on the blocked path,
+  /// builds each layer's kernel and packs its weight plane.
+  explicit Model(nn::QuantizedNetwork network, ForwardPath path = ForwardPath::kBlocked);
 
   /// The idiomatic spelling for serving code: a shared immutable handle,
   /// ready to hand to any number of Sessions.
   static std::shared_ptr<const Model> create(nn::QuantizedNetwork network,
-                                             ForwardPath path = ForwardPath::kFused);
+                                             ForwardPath path = ForwardPath::kBlocked);
 
   /// The deployment spelling: reload a shipped artifact straight into a
   /// shared Model — quantize offline, ship the file, hot-load it into a
@@ -81,7 +72,7 @@ class Model {
   /// sniffed by magic — so shipping compressed weights changes nothing here
   /// (docs/compression.md). Throws std::runtime_error on malformed input.
   static std::shared_ptr<const Model> load(const std::string& path,
-                                           ForwardPath forward = ForwardPath::kFused);
+                                           ForwardPath forward = ForwardPath::kBlocked);
 
   ForwardPath forward_path() const { return path_; }
   /// The uniform format — or, for a mixed-precision model, the first layer's
@@ -103,73 +94,41 @@ class Model {
   /// Total number of MAC operations for one inference (for energy models).
   std::size_t macs_per_inference() const;
 
-  /// Fresh per-thread mutable state for forward_into.
-  Scratch make_scratch() const;
-
-  /// Core matvec chain: quantize `x` into the network format, stream through
-  /// every layer; the readout activations are left in `scratch` (read them
-  /// via scratch.activations()). Throws std::invalid_argument unless
-  /// x.size() == input_dim().
-  void forward_into(std::span<const double> x, Scratch& scratch) const;
-
-  /// argmax class prediction over the decoded readout left in `scratch` by
-  /// the last forward_into.
-  int readout_argmax(const Scratch& scratch) const;
-
-  /// argmax over a row of network-format readout patterns (what the blocked
-  /// path and serving buffers hold); readout_argmax delegates here.
+  /// argmax over a row of output-format readout patterns.
   int argmax_bits(std::span<const std::uint32_t> bits) const;
 
-  // --- Register-blocked multi-sample path ----------------------------------
-  // Built at construction (fused models only) when every layer's (format,
-  // fan-in) has a MatmulKernel: a tile of samples streams through each
-  // weight plane in one pass, bit-identical to forward_into per sample
-  // (tests/runtime/blocked_session_test.cpp). Sessions drive it for
-  // multi-row batches; the per-sample path remains for everything else.
-
-  /// True when forward_tile_into is available.
+  /// True when forward_tile_into runs the blocked kernels (every layer has
+  /// one and the model is not on the step path).
   bool blocked_available() const { return !kernels_.empty(); }
 
-  /// The kernels' preferred samples-per-pass (the minimum across layers when
-  /// dispatch differs per layer); 1 when no blocked path exists. Serving
-  /// front-ends align micro-batch flushes to a multiple of this.
+  /// Samples per forward_tile_into call: the kernels' preferred tile (the
+  /// minimum across layers when dispatch differs per layer), 1 on the step
+  /// path. Serving front-ends align micro-batch flushes to a multiple of it.
   std::size_t preferred_tile() const { return tile_; }
 
   /// Dispatched kernel: "avx2", "scalar-blocked", "mixed" (per-layer
-  /// dispatch differs) or "none" (no blocked path).
+  /// dispatch differs) or "none" (the step path).
   const char* kernel_name() const;
 
-  /// Per-thread mutable state for forward_tile_into: the lane-interleaved
-  /// activation tile and the ping-pong pattern buffers. Never share one
-  /// between threads.
-  class TileScratch {
-   private:
-    friend class Model;
-    emac::ActTile acts_;
-    std::vector<std::uint32_t> bits_;  // current activations, [i*tile + s]
-    std::vector<std::uint32_t> next_;  // next layer's outputs, same layout
-  };
+  /// Fresh per-thread mutable state for forward_tile_into.
+  Scratch make_scratch() const;
 
-  TileScratch make_tile_scratch() const;
-
-  /// Run rows [row0, row0 + nrows) of `xs` through the blocked kernels as
-  /// one tile (nrows <= preferred_tile()) and write sample s's readout to
-  /// out[s*output_dim() .. (s+1)*output_dim()). Requires blocked_available().
+  /// The one inference entry point: quantize rows [row0, row0 + nrows) of
+  /// `xs` into the input format, stream them through every layer and write
+  /// sample s's readout patterns to out[s*output_dim() .. (s+1)*output_dim()).
+  /// Throws std::invalid_argument unless 0 < nrows <= preferred_tile(), the
+  /// rows exist and xs.row_width() == input_dim().
   void forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
-                         TileScratch& scratch, std::uint32_t* out) const;
+                         Scratch& scratch, std::uint32_t* out) const;
 
  private:
   static std::uint32_t relu(std::uint32_t bits, const num::Format& fmt);
 
   nn::QuantizedNetwork net_;
   ForwardPath path_;
-  // Pre-decoded weight planes, one per layer, row-major like the raw
-  // patterns: the static weight memories are decoded exactly once at
+  // Blocked kernels + packed planes, one per layer; empty on the step path
+  // (chosen, forced, or because some layer has no kernel). Immutable after
   // construction and shared read-only by every Scratch on every thread.
-  std::vector<std::vector<emac::DecodedOp>> weight_planes_;
-  // Blocked kernels + re-packed planes, one per layer; empty when any layer
-  // is unsupported (or the model runs the step path). Immutable after
-  // construction, shared read-only like the planes above.
   std::vector<std::unique_ptr<emac::MatmulKernel>> kernels_;
   std::vector<emac::PackedPlane> packed_planes_;
   std::size_t tile_ = 1;

@@ -20,40 +20,34 @@ Session::Session(std::shared_ptr<const Model> model, SessionOptions opts)
     : model_(require_model(std::move(model))),
       pool_(opts.pool != nullptr ? std::move(opts.pool)
                                  : std::make_shared<WorkerPool>(opts.num_threads)),
-      blocked_(opts.allow_blocked && model_->blocked_available()) {
+      bits_(model_->output_dim()) {
   scratch_.reserve(pool_->slots());
   for (std::size_t s = 0; s < pool_->slots(); ++s) scratch_.push_back(model_->make_scratch());
-  if (blocked_) {
-    tile_scratch_.reserve(pool_->slots());
-    for (std::size_t s = 0; s < pool_->slots(); ++s) {
-      tile_scratch_.push_back(model_->make_tile_scratch());
-    }
-  }
   scores_.reserve(model_->output_dim());
 }
 
+void Session::forward_one(std::span<const double> x) {
+  if (x.size() != model_->input_dim()) {
+    throw std::invalid_argument("runtime::Session: input size != model input_dim");
+  }
+  forward_bits_into(BatchView(x, x.size()), bits_);
+}
+
 std::span<const std::uint32_t> Session::forward_bits(std::span<const double> x) {
-  model_->forward_into(x, scratch_[0]);
-  return scratch_[0].activations();
+  forward_one(x);
+  return bits_;
 }
 
 std::span<const double> Session::forward(std::span<const double> x) {
-  model_->forward_into(x, scratch_[0]);
-  const std::span<const std::uint32_t> bits = scratch_[0].activations();
+  forward_one(x);
   scores_.clear();
-  for (const std::uint32_t b : bits) scores_.push_back(model_->output_format().to_double(b));
+  for (const std::uint32_t b : bits_) scores_.push_back(model_->output_format().to_double(b));
   return scores_;
 }
 
 int Session::predict(std::span<const double> x) {
-  model_->forward_into(x, scratch_[0]);
-  return model_->readout_argmax(scratch_[0]);
-}
-
-void Session::check_view(const BatchView& xs) const {
-  if (xs.rows() != 0 && xs.row_width() != model_->input_dim()) {
-    throw std::invalid_argument("runtime::Session: batch row width != model input_dim");
-  }
+  forward_one(x);
+  return model_->argmax_bits(bits_);
 }
 
 BatchResult<std::uint32_t> Session::forward_bits(BatchView xs) {
@@ -64,76 +58,41 @@ BatchResult<std::uint32_t> Session::forward_bits(BatchView xs) {
 }
 
 void Session::forward_bits_into(BatchView xs, std::span<std::uint32_t> out) {
-  check_view(xs);
+  if (xs.rows() != 0 && xs.row_width() != model_->input_dim()) {
+    throw std::invalid_argument("runtime::Session: batch row width != model input_dim");
+  }
   const std::size_t width = model_->output_dim();
   if (out.size() != xs.rows() * width) {
     throw std::invalid_argument(
         "runtime::Session::forward_bits_into: out.size() != rows * output_dim");
   }
-  // Multi-row batches ride the blocked kernels: the batch is partitioned
-  // into preferred_tile()-sample tiles (the last one ragged), each tile one
-  // pool row with chunk 1 so a handful of heavy tiles still spreads across
-  // slots. Bit-identical to the per-sample path per tile, so identical for
-  // every pool size and batch shape.
-  if (blocked_ && xs.rows() > 1) {
-    const std::size_t tile = model_->preferred_tile();
-    const std::size_t tiles = (xs.rows() + tile - 1) / tile;
-    pool_->run(
-        tiles,
-        [&](std::size_t t, std::size_t slot) {
-          const std::size_t row0 = t * tile;
-          const std::size_t nrows = std::min(tile, xs.rows() - row0);
-          model_->forward_tile_into(xs, row0, nrows, tile_scratch_[slot],
-                                    out.data() + row0 * width);
-        },
-        /*chunk=*/1);
-    return;
-  }
-  pool_->run(xs.rows(), [&](std::size_t row, std::size_t slot) {
-    model_->forward_into(xs.row(row), scratch_[slot]);
-    const std::span<const std::uint32_t> bits = scratch_[slot].activations();
-    std::copy(bits.begin(), bits.end(), out.begin() + static_cast<std::ptrdiff_t>(row * width));
-  });
+  // Tiles of preferred_tile() rows (the last one ragged), each tile one pool
+  // row with chunk 1 so a handful of heavy tiles still spreads across slots.
+  // A single tile runs inline on the submitting thread.
+  const std::size_t tile = model_->preferred_tile();
+  const std::size_t tiles = (xs.rows() + tile - 1) / tile;
+  pool_->run(
+      tiles,
+      [&](std::size_t t, std::size_t slot) {
+        const std::size_t row0 = t * tile;
+        const std::size_t nrows = std::min(tile, xs.rows() - row0);
+        model_->forward_tile_into(xs, row0, nrows, scratch_[slot], out.data() + row0 * width);
+      },
+      /*chunk=*/1);
 }
 
 BatchResult<double> Session::forward(BatchView xs) {
-  check_view(xs);
-  const std::size_t width = model_->output_dim();
+  const BatchResult<std::uint32_t> bits = forward_bits(xs);
   const num::Format& fmt = model_->output_format();
-  if (blocked_ && xs.rows() > 1) {
-    // The blocked kernels produce bit patterns; decoding them here is the
-    // same per-word fmt.to_double the per-sample loop applies.
-    const BatchResult<std::uint32_t> bits = forward_bits(xs);
-    BatchResult<double> out{std::vector<double>(bits.data.size()), width};
-    for (std::size_t i = 0; i < bits.data.size(); ++i) {
-      out.data[i] = fmt.to_double(bits.data[i]);
-    }
-    return out;
-  }
-  BatchResult<double> out{std::vector<double>(xs.rows() * width), width};
-  pool_->run(xs.rows(), [&](std::size_t row, std::size_t slot) {
-    model_->forward_into(xs.row(row), scratch_[slot]);
-    const std::span<const std::uint32_t> bits = scratch_[slot].activations();
-    for (std::size_t i = 0; i < width; ++i) out.data[row * width + i] = fmt.to_double(bits[i]);
-  });
+  BatchResult<double> out{std::vector<double>(bits.data.size()), bits.row_width};
+  for (std::size_t i = 0; i < bits.data.size(); ++i) out.data[i] = fmt.to_double(bits.data[i]);
   return out;
 }
 
 std::vector<int> Session::predict(BatchView xs) {
-  check_view(xs);
-  if (blocked_ && xs.rows() > 1) {
-    const BatchResult<std::uint32_t> bits = forward_bits(xs);
-    std::vector<int> out(xs.rows());
-    for (std::size_t row = 0; row < xs.rows(); ++row) {
-      out[row] = model_->argmax_bits(bits.row(row));
-    }
-    return out;
-  }
+  const BatchResult<std::uint32_t> bits = forward_bits(xs);
   std::vector<int> out(xs.rows());
-  pool_->run(xs.rows(), [&](std::size_t row, std::size_t slot) {
-    model_->forward_into(xs.row(row), scratch_[slot]);
-    out[row] = model_->readout_argmax(scratch_[slot]);
-  });
+  for (std::size_t row = 0; row < xs.rows(); ++row) out[row] = model_->argmax_bits(bits.row(row));
   return out;
 }
 
@@ -142,22 +101,9 @@ double Session::accuracy(BatchView xs, std::span<const int> labels) {
     throw std::invalid_argument("runtime::Session::accuracy: size mismatch");
   }
   if (xs.rows() == 0) return 0.0;
-  check_view(xs);
-  if (blocked_ && xs.rows() > 1) {
-    const std::vector<int> preds = predict(xs);
-    std::size_t hits = 0;
-    for (std::size_t row = 0; row < preds.size(); ++row) {
-      if (preds[row] == labels[row]) ++hits;
-    }
-    return static_cast<double>(hits) / static_cast<double>(xs.rows());
-  }
-  std::vector<unsigned char> correct(xs.rows(), 0);
-  pool_->run(xs.rows(), [&](std::size_t row, std::size_t slot) {
-    model_->forward_into(xs.row(row), scratch_[slot]);
-    correct[row] = model_->readout_argmax(scratch_[slot]) == labels[row] ? 1 : 0;
-  });
+  const std::vector<int> preds = predict(xs);
   std::size_t hits = 0;
-  for (const unsigned char c : correct) hits += c;
+  for (std::size_t row = 0; row < preds.size(); ++row) hits += preds[row] == labels[row] ? 1 : 0;
   return static_cast<double>(hits) / static_cast<double>(xs.rows());
 }
 

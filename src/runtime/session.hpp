@@ -7,11 +7,14 @@
 // whose threads are created once, at Session construction, and only woken per
 // batch submit.
 //
+// Every entry point is forward_bits_into plus a decode or an argmax; the
+// single-sample calls run it on a one-row view.
+//
 // Thread-safety contract:
 //  * Model is immutable — share one freely across Sessions and threads.
 //  * A Session is single-client state: calls on one Session must not overlap.
 //    Concurrent callers each hold their own Session (Sessions are cheap; the
-//    weight planes live in the Model).
+//    packed weight planes live in the Model).
 //  * The spans returned by the single-sample calls view Session-owned
 //    buffers and stay valid until the next call on the same Session.
 
@@ -31,7 +34,7 @@ struct SessionOptions {
   /// Worker-pool concurrency for the batched entry points, counting the
   /// submitting thread (which always participates). 0 picks
   /// std::thread::hardware_concurrency(); 1 spawns no threads and runs
-  /// everything on the submitting thread. Single-sample calls never touch
+  /// everything on the submitting thread. Single-sample calls never wake
   /// the pool. Ignored when `pool` is set.
   std::size_t num_threads = 1;
   /// Share an externally owned pool instead of spawning a private one.
@@ -40,12 +43,6 @@ struct SessionOptions {
   /// pool sized to the machine — the Session allocates one Scratch per pool
   /// slot either way.
   std::shared_ptr<WorkerPool> pool;
-  /// Drive multi-row batches through the Model's register-blocked
-  /// multi-sample kernels when the model has them (bit-identical to the
-  /// per-sample path for every batch shape and pool size —
-  /// tests/runtime/blocked_session_test.cpp). Disable to pin this Session to
-  /// the per-sample fused matvec (the benchmark baseline).
-  bool allow_blocked = true;
 };
 
 class Session {
@@ -58,21 +55,18 @@ class Session {
   /// Actual pool concurrency (spawned workers + the submitting thread).
   std::size_t num_threads() const { return pool_->slots(); }
 
-  /// The kernel's ideal samples-per-pass for this Session: the model's
-  /// preferred tile when the blocked path is active, 1 otherwise. Serving
+  /// The model's samples per pass (Model::preferred_tile()). Serving
   /// front-ends (serve::DynamicBatcher) align size-triggered flushes to a
   /// multiple of this so every full tile of a micro-batch rides one
   /// weight-plane pass.
-  std::size_t preferred_batch_multiple() const {
-    return blocked_ ? model_->preferred_tile() : 1;
-  }
+  std::size_t preferred_batch_multiple() const { return model_->preferred_tile(); }
 
   // --- Single-sample entry points (zero-copy in and out) -------------------
-  // `x` is any contiguous double buffer of input_dim() values. The returned
-  // spans view Session-owned state, valid until the next call on this
-  // Session; copy them out to keep them.
+  // `x` is any contiguous double buffer of input_dim() values (else
+  // std::invalid_argument). The returned spans view Session-owned state,
+  // valid until the next call on this Session; copy them out to keep them.
 
-  /// Readout activations as network-format bit patterns.
+  /// Readout activations as output-format bit patterns.
   std::span<const std::uint32_t> forward_bits(std::span<const double> x);
 
   /// Readout activations decoded to doubles.
@@ -82,21 +76,20 @@ class Session {
   int predict(std::span<const double> x);
 
   // --- Batched entry points (contiguous row-major in, flat row-major out) --
-  // Rows are partitioned over the persistent pool; results are bit-identical
-  // for every pool size (rows are independent and each is computed by the
-  // same deterministic EMAC recurrence). Throws std::invalid_argument if
-  // xs.row_width() != input_dim() (non-empty batches).
+  // The batch is cut into preferred_tile()-row tiles spread over the
+  // persistent pool; results are bit-identical for every pool size (rows are
+  // independent). Throws std::invalid_argument if xs.row_width() !=
+  // input_dim() (non-empty batches).
 
   BatchResult<std::uint32_t> forward_bits(BatchView xs);
   BatchResult<double> forward(BatchView xs);
   std::vector<int> predict(BatchView xs);
 
-  /// Batch-submission hook for serving front-ends (serve::DynamicBatcher):
-  /// like forward_bits(BatchView) but writes row i's readout into
-  /// out[i*output_dim() .. (i+1)*output_dim()) of a caller-owned buffer —
-  /// e.g. response storage — instead of allocating a BatchResult per
-  /// micro-batch. Throws std::invalid_argument unless
-  /// out.size() == xs.rows() * output_dim().
+  /// The entry point every other call reduces to, and the batch-submission
+  /// hook for serving front-ends (serve::DynamicBatcher): writes row i's
+  /// readout into out[i*output_dim() .. (i+1)*output_dim()) of a
+  /// caller-owned buffer — e.g. response storage. Throws
+  /// std::invalid_argument unless out.size() == xs.rows() * output_dim().
   void forward_bits_into(BatchView xs, std::span<std::uint32_t> out);
 
   /// Fraction of rows whose prediction equals the label; labels.size() must
@@ -104,16 +97,14 @@ class Session {
   double accuracy(BatchView xs, std::span<const int> labels);
 
  private:
-  void check_view(const BatchView& xs) const;
+  /// forward_bits_into on the one-row view of `x` into bits_.
+  void forward_one(std::span<const double> x);
 
   std::shared_ptr<const Model> model_;
-  std::vector<Scratch> scratch_;  // one per pool slot; [0] also serves the
-                                  // single-sample calls (slot 0 is the
-                                  // submitting thread in both roles)
-  std::vector<double> scores_;    // single-sample decoded readout buffer
   std::shared_ptr<WorkerPool> pool_;  // private by default; shared via options
-  bool blocked_ = false;              // multi-row batches use the blocked kernels
-  std::vector<Model::TileScratch> tile_scratch_;  // one per pool slot
+  std::vector<Scratch> scratch_;      // one per pool slot
+  std::vector<std::uint32_t> bits_;   // single-sample readout
+  std::vector<double> scores_;        // single-sample decoded readout
 };
 
 }  // namespace dp::runtime

@@ -1,15 +1,14 @@
 #pragma once
 // Persistent worker pool for the runtime inference Session: the threads are
 // created once, at pool construction, and every batch submit only wakes them
-// — no per-call std::thread spawn (the legacy DeepPositron *_batch entry
-// points paid one pool construction per call).
+// — no per-call std::thread spawn.
 //
 // Work is a half-open row range [0, rows): workers pull fixed-size chunks off
 // a shared cursor, so uneven per-row cost balances automatically. The
 // submitting thread always participates as slot 0; a pool of total size 1
 // therefore spawns no threads at all and runs everything inline. Each row
 // callback receives the slot index of the thread executing it, which is how
-// the Session maps rows onto per-slot Scratch state without any locking.
+// the Session maps tiles onto per-slot Scratch state without any locking.
 //
 // The pool is multi-client: run() may be called from any number of threads
 // concurrently (each call is an independent job; jobs queue FIFO and workers

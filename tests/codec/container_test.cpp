@@ -17,7 +17,7 @@
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
-#include "runtime/model.hpp"
+#include "runtime/session.hpp"
 #include "serve/registry.hpp"
 
 namespace dp::codec {
@@ -151,18 +151,15 @@ TEST(DpnetzContainer, RuntimeModelLoadsCompressedArtifactsTransparently) {
   nn::save_quantized_compressed(path, q);
 
   const std::shared_ptr<const runtime::Model> shipped = runtime::Model::load(path);
-  const runtime::Model direct(q);
   ASSERT_TRUE(shipped->format() == fmt);
-  runtime::Scratch s1 = shipped->make_scratch();
-  runtime::Scratch s2 = direct.make_scratch();
+  runtime::Session loaded(shipped);
+  runtime::Session direct(runtime::Model::create(q, runtime::ForwardPath::kStep));
   std::mt19937 rng(5);
   std::uniform_real_distribution<double> u(-1.0, 1.0);
   for (int i = 0; i < 50; ++i) {
     const std::vector<double> x{u(rng), u(rng), u(rng), u(rng), u(rng)};
-    shipped->forward_into(x, s1);
-    direct.forward_into(x, s2);
-    const auto a = s1.activations();
-    const auto b = s2.activations();
+    const auto a = loaded.forward_bits(x);
+    const auto b = direct.forward_bits(x);
     ASSERT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
               std::vector<std::uint32_t>(b.begin(), b.end()));
   }

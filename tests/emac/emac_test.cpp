@@ -271,5 +271,23 @@ TEST(EmacWidths, ReportedByUnits) {
   EXPECT_GT(make_emac(num::FloatFormat{4, 3}, 256)->accumulator_width(), 30u);
 }
 
+// ---------------------------------------------------------------------------
+// Unit replication.
+// ---------------------------------------------------------------------------
+
+TEST(EmacUnits, CloneIsIndependent) {
+  const num::Format fmt{num::PositFormat{8, 1}};
+  const auto original = make_emac(fmt, 16);
+  original->reset(fmt.from_double(1.0));
+  original->step(fmt.from_double(0.5), fmt.from_double(0.5));
+  const auto copy = original->clone();  // config only, empty accumulator
+  EXPECT_EQ(copy->max_terms(), original->max_terms());
+  EXPECT_EQ(copy->accumulator_width(), original->accumulator_width());
+  copy->reset(fmt.from_double(2.0));
+  copy->step(fmt.from_double(1.0), fmt.from_double(1.0));
+  EXPECT_EQ(fmt.to_double(copy->result()), 3.0);
+  EXPECT_EQ(fmt.to_double(original->result()), 1.25);  // untouched by the clone
+}
+
 }  // namespace
 }  // namespace dp::emac

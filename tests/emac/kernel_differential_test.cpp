@@ -3,10 +3,8 @@
 // of accumulation lengths and batch shapes, the dispatched kernel
 // (MatmulKernel::create — AVX2 where eligible) and the portable
 // scalar-blocked kernel (create_scalar) must both be bit-identical, on every
-// output word, to BOTH per-sample oracles:
-//
-//   * the legacy step() recurrence   — reset(bias); step()*k; result(), and
-//   * the fused dot() row kernel     — the PR-2 hot path.
+// output word, to the oracle: the paper's step() recurrence — reset(bias);
+// step()*k; result().
 //
 // Shapes deliberately include non-multiples of the kernel tile (1, tile-1,
 // tile, tile+1, 7, 64, 200 samples) so ragged tails, lone samples, and
@@ -15,6 +13,13 @@
 // (zero, posit NaR), so NaR propagation and zero skipping are fuzzed too.
 // Every assertion message carries the reproducer: seed, format, k, rows,
 // samples, and tile.
+//
+// The DotEquivalence suites below pin the single dot product — one weight
+// row against one sample, the shape of every single-sample Session call —
+// on fully random rows (Inf/NaN patterns included where the format has
+// them) and adversarial rows (saturation pile-ups, exact cancellation,
+// all-zero, all-NaR), over the grid plus wider formats, and the shared
+// decode table every unit and kernel reads operands through.
 
 #include "emac/kernel.hpp"
 
@@ -28,6 +33,7 @@
 #include <sstream>
 #include <vector>
 
+#include "emac/decode_lut.hpp"
 #include "emac/emac.hpp"
 #include "numeric/format.hpp"
 
@@ -107,16 +113,12 @@ void check_kernel(const Case& c, MatmulKernel& kern,
   }
 }
 
-void run_case(const Case& c) {
-  std::mt19937 rng(c.seed);
-  std::vector<std::uint32_t> weight_bits(c.rows * c.k);
-  std::vector<std::uint32_t> bias_bits(c.rows);
-  std::vector<std::uint32_t> act_bits(c.samples * c.k);
-  for (auto& b : weight_bits) b = random_pattern(rng, c.fmt);
-  for (auto& b : bias_bits) b = random_pattern(rng, c.fmt);
-  for (auto& b : act_bits) b = random_pattern(rng, c.fmt);
-
-  // Oracle 1: the legacy step() recurrence, one virtual call per MAC.
+/// Both kernels against the step oracle on the given operands: weights
+/// [r*k + i], one bias per row, activations [s*k + i].
+void check_case(const Case& c, const std::vector<std::uint32_t>& weight_bits,
+                const std::vector<std::uint32_t>& bias_bits,
+                const std::vector<std::uint32_t>& act_bits) {
+  // The oracle: the step() recurrence, one virtual call per MAC.
   std::unique_ptr<Emac> unit = make_emac(c.fmt, c.k);
   std::vector<std::uint32_t> expected(c.samples * c.rows);  // [s*rows + r]
   for (std::size_t s = 0; s < c.samples; ++s) {
@@ -129,28 +131,23 @@ void run_case(const Case& c) {
     }
   }
 
-  // Oracle 2: the fused dot() path must agree with step() on the same data
-  // (re-asserting dot_equivalence keeps the differential chain honest: the
-  // kernels are compared against a jointly-verified pair of references).
-  std::vector<DecodedOp> wdec(weight_bits.size());
-  std::vector<DecodedOp> adec(c.k);
-  unit->decode_plane(weight_bits.data(), weight_bits.size(), wdec.data());
-  for (std::size_t s = 0; s < c.samples; ++s) {
-    unit->decode_plane(act_bits.data() + s * c.k, c.k, adec.data());
-    for (std::size_t r = 0; r < c.rows; ++r) {
-      ASSERT_EQ(unit->dot(bias_bits[r], wdec.data() + r * c.k, adec.data(), c.k),
-                expected[s * c.rows + r])
-          << "dot() vs step() divergence: seed=" << c.seed << " fmt=" << c.fmt.name()
-          << " k=" << c.k << " row=" << r << " sample=" << s;
-    }
-  }
-
   std::unique_ptr<MatmulKernel> dispatched = MatmulKernel::create(c.fmt, c.k);
   std::unique_ptr<MatmulKernel> scalar = MatmulKernel::create_scalar(c.fmt, c.k);
   ASSERT_NE(dispatched, nullptr) << c.fmt.name() << " k=" << c.k;
   ASSERT_NE(scalar, nullptr) << c.fmt.name() << " k=" << c.k;
   check_kernel(c, *dispatched, weight_bits, bias_bits, act_bits, expected);
   check_kernel(c, *scalar, weight_bits, bias_bits, act_bits, expected);
+}
+
+void run_case(const Case& c) {
+  std::mt19937 rng(c.seed);
+  std::vector<std::uint32_t> weight_bits(c.rows * c.k);
+  std::vector<std::uint32_t> bias_bits(c.rows);
+  std::vector<std::uint32_t> act_bits(c.samples * c.k);
+  for (auto& b : weight_bits) b = random_pattern(rng, c.fmt);
+  for (auto& b : bias_bits) b = random_pattern(rng, c.fmt);
+  for (auto& b : act_bits) b = random_pattern(rng, c.fmt);
+  check_case(c, weight_bits, bias_bits, act_bits);
 }
 
 /// Sample counts relative to a tile of T: lone sample, T-1/T/T+1 around the
@@ -216,6 +213,114 @@ TEST(KernelDifferential, RejectsUnsupportedShapes) {
   // More live samples than the tile holds must throw, not truncate.
   EXPECT_THROW(kern->matmul(empty_plane, acts, kern->tile() + 1, out.data()),
                std::invalid_argument);
+}
+
+// --- Single dot products ----------------------------------------------------
+
+std::uint32_t width_mask(const num::Format& fmt) {
+  return fmt.total_bits() >= 32 ? ~std::uint32_t{0}
+                                : ((std::uint32_t{1} << fmt.total_bits()) - 1);
+}
+
+/// The paper's sweep grid (posit es in {0..3} per width, float, fixed for
+/// n in [5,8]) plus wider configurations past the 8-bit range.
+std::vector<num::Format> all_formats() {
+  std::vector<num::Format> out;
+  for (int n = 5; n <= 8; ++n) {
+    for (const auto& f : num::paper_format_grid(n)) out.push_back(f);
+  }
+  out.push_back(num::PositFormat{16, 1});
+  out.push_back(num::FloatFormat{5, 10});
+  out.push_back(num::FixedFormat{16, 8});
+  return out;
+}
+
+/// Saturation / cancellation / special patterns for adversarial rows.
+std::vector<std::uint32_t> extreme_patterns(const num::Format& fmt) {
+  const std::uint32_t mask = width_mask(fmt);
+  switch (fmt.kind()) {
+    case num::Kind::kPosit: {
+      const auto& f = fmt.posit();
+      const std::uint32_t maxpos = (std::uint32_t{1} << (f.n - 1)) - 1;
+      return {f.zero_pattern(), f.nar_pattern(), maxpos, (~maxpos + 1) & mask,
+              /*minpos=*/1u, /*-minpos=*/mask};
+    }
+    case num::Kind::kFloat: {
+      const auto& f = fmt.flt();
+      const std::uint32_t maxfin =
+          (static_cast<std::uint32_t>(f.expmax()) << f.wf) | ((1u << f.wf) - 1);
+      const std::uint32_t sign = 1u << (f.we + f.wf);
+      return {num::float_zero(f), num::float_zero(f, true), maxfin, maxfin | sign,
+              /*min subnormal=*/1u, (1u | sign)};
+    }
+    case num::Kind::kFixed: {
+      const auto& f = fmt.fixed();
+      return {0u, static_cast<std::uint32_t>(f.raw_max()) & mask,
+              static_cast<std::uint32_t>(f.raw_min()) & mask, 1u, mask};
+    }
+  }
+  return {};
+}
+
+class DotEquivalenceTest : public ::testing::TestWithParam<num::Format> {};
+
+TEST_P(DotEquivalenceTest, RandomRowsMatchStepLoop) {
+  const num::Format fmt = GetParam();
+  const std::uint32_t mask = width_mask(fmt);
+  std::mt19937 rng(0xD07 + static_cast<unsigned>(fmt.total_bits()));
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{64}, std::size_t{200}}) {
+    for (std::uint32_t trial = 0; trial < 20; ++trial) {
+      std::vector<std::uint32_t> w(k), a(k);
+      for (auto& v : w) v = rng() & mask;
+      for (auto& v : a) v = rng() & mask;
+      const std::uint32_t bias = rng() & mask;
+      check_case({fmt, k, 1, 1, trial}, w, {bias}, a);
+    }
+  }
+}
+
+TEST_P(DotEquivalenceTest, ExtremeRowsMatchStepLoop) {
+  const num::Format fmt = GetParam();
+  const std::vector<std::uint32_t> specials = extreme_patterns(fmt);
+  std::mt19937 rng(0xE57A + static_cast<unsigned>(fmt.total_bits()));
+  const std::size_t k = 48;
+  // Rows drawn only from the special patterns: saturation pile-ups,
+  // +maxpos/-maxpos cancellation, zero rows, NaR rows.
+  for (std::uint32_t trial = 0; trial < 40; ++trial) {
+    std::vector<std::uint32_t> w(k), a(k);
+    for (auto& v : w) v = specials[rng() % specials.size()];
+    for (auto& v : a) v = specials[rng() % specials.size()];
+    check_case({fmt, k, 1, 1, trial}, w, {specials[rng() % specials.size()]}, a);
+  }
+  // Deterministic worst cases: every pair saturating with matched signs
+  // (monotone pile-up) and alternating signs (exact cancellation to zero).
+  std::vector<std::uint32_t> w(k, specials[2]), a(k, specials[2]);
+  check_case({fmt, k, 1, 1, 0}, w, {0}, a);
+  for (std::size_t i = 1; i < k; i += 2) a[i] = specials[3];
+  check_case({fmt, k, 1, 1, 1}, w, {0}, a);
+}
+
+INSTANTIATE_TEST_SUITE_P(SweepGrid, DotEquivalenceTest, ::testing::ValuesIn(all_formats()));
+
+TEST(DotEquivalence, DecodeLutIsSharedAcrossUnitsAndClones) {
+  // Units, clones and kernels decode operands through one shared table.
+  const num::Format fmt{num::PositFormat{8, 1}};
+  const auto lut1 = shared_decode_lut(fmt);
+  const auto lut2 = shared_decode_lut(fmt);
+  ASSERT_NE(lut1, nullptr);
+  EXPECT_EQ(lut1.get(), lut2.get());  // one immutable table per format
+  // Formats wider than the LUT cap decode per operand instead.
+  EXPECT_EQ(shared_decode_lut(num::Format{num::PositFormat{18, 1}}), nullptr);
+  // Entry sanity: zero / NaR / finite classification and the signed
+  // significand convention (ssig == 0 for zero and NaR).
+  const auto& f = fmt.posit();
+  EXPECT_EQ((*lut1)[f.zero_pattern()].kind, DecodedOp::kZero);
+  EXPECT_EQ((*lut1)[f.nar_pattern()].kind, DecodedOp::kNaR);
+  EXPECT_EQ((*lut1)[f.nar_pattern()].ssig, 0);
+  const DecodedOp& one = (*lut1)[0x40];  // posit pattern for +1.0
+  EXPECT_EQ(one.kind, DecodedOp::kFinite);
+  EXPECT_EQ(one.ssig, static_cast<std::int64_t>(one.sig));
 }
 
 }  // namespace

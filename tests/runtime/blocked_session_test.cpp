@@ -1,9 +1,10 @@
 // Acceptance tests for the register-blocked multi-sample Session path: for
 // every pool size and batch shape (tile-aligned and ragged), a Session
-// driving the blocked kernels must be bit-identical to a Session pinned to
-// the per-sample fused path (allow_blocked = false) — and to the forced
-// scalar kernel (DP_FORCE_SCALAR_KERNEL). Plus the serve-layer contract:
-// tile-aligned flushes never delay a lone request past max_wait.
+// driving the blocked kernels must be bit-identical to a Session over the
+// per-sample step recurrence (ForwardPath::kStep) — and to the forced
+// scalar kernel (DP_FORCE_SCALAR_KERNEL). Specs with no kernel fall back to
+// the step recurrence. Plus the serve-layer contract: tile-aligned flushes
+// never delay a lone request past max_wait.
 
 #include "runtime/session.hpp"
 
@@ -53,8 +54,8 @@ TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
     const std::size_t max_rows = *std::max_element(shapes.begin(), shapes.end());
     const std::vector<double> flat = random_batch(max_rows, net.input_dim(), 5);
 
-    // Reference: the per-sample fused path, pool of 1.
-    Session reference(model, {.num_threads = 1, .allow_blocked = false});
+    // Reference: the per-sample step recurrence, pool of 1.
+    Session reference(Model::create(nn::quantize(net, fmt), ForwardPath::kStep));
     EXPECT_EQ(reference.preferred_batch_multiple(), 1u);
 
     for (const std::size_t pool : {1u, 2u, 8u}) {
@@ -112,6 +113,19 @@ TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
   EXPECT_EQ(session.preferred_batch_multiple(), 1u);
   const std::vector<double> flat = random_batch(9, net.input_dim(), 3);
   EXPECT_EQ(session.predict(BatchView(flat, net.input_dim())).size(), 9u);
+
+  // posit<16,3> needs a wider register than any kernel offers (its bound
+  // exceeds 250 bits; the units run the RTL-faithful posit model), so even
+  // the default path falls back to the step recurrence.
+  const num::Format wide{num::PositFormat{16, 3}};
+  const auto fallback = Model::create(nn::quantize(net, wide));
+  EXPECT_EQ(fallback->forward_path(), ForwardPath::kBlocked);
+  EXPECT_FALSE(fallback->blocked_available());
+  EXPECT_STREQ(fallback->kernel_name(), "none");
+  Session wide_session(fallback, {2});
+  Session wide_step(Model::create(nn::quantize(net, wide), ForwardPath::kStep));
+  const BatchView view(flat, net.input_dim());
+  EXPECT_EQ(wide_session.forward_bits(view).data, wide_step.forward_bits(view).data);
 }
 
 TEST(BlockedSession, BatcherTileAlignedFlushesHonorMaxWaitForLoneRequests) {

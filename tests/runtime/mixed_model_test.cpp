@@ -2,7 +2,7 @@
 // layers carry DIFFERENT formats must be bit-identical to a stitched
 // reference that runs each layer as its own single-format model and
 // re-encodes activations at every boundary — across the paper format grid
-// (n = 5..8), ragged topologies, fused vs step path, every kernel the
+// (n = 5..8), ragged topologies, blocked vs step path, every kernel the
 // Session can dispatch, and pool sizes {1, 2, 8}. Every assertion carries a
 // full reproducer (seed, per-layer formats, topology, kernel, pool) so a
 // failure is a bug report, not a scavenger hunt.
@@ -80,11 +80,12 @@ std::vector<double> random_rows(std::size_t rows, std::size_t dim, std::uint32_t
 }
 
 /// The stitched reference: layer i runs as its own UNIFORM single-layer
-/// model in formats[i]; activations cross each boundary as doubles, which is
-/// exactly num::convert for every finite value (RNE from_double of an
-/// exactly-representable double is the identity, and these finite fuzz
-/// inputs never produce NaR/NaN mid-net — the specials have direct
-/// num::convert unit tests). The readout is the last layer's raw patterns.
+/// model in formats[i] on the step path; activations cross each boundary as
+/// doubles, which is exactly num::convert for every finite value (RNE
+/// from_double of an exactly-representable double is the identity, and
+/// these finite fuzz inputs never produce NaR/NaN mid-net — the specials
+/// have direct num::convert unit tests). The readout is the last layer's
+/// raw patterns.
 std::vector<std::uint32_t> stitched_forward(const nn::QuantizedNetwork& mixed,
                                             std::span<const double> x) {
   std::vector<double> cur(x.begin(), x.end());
@@ -92,10 +93,8 @@ std::vector<std::uint32_t> stitched_forward(const nn::QuantizedNetwork& mixed,
   for (std::size_t li = 0; li < mixed.layers.size(); ++li) {
     const num::Format fmt = mixed.layer_format(li);
     nn::QuantizedNetwork single{fmt, {mixed.layers[li]}, {}};
-    Model layer_model(std::move(single));
-    Scratch scratch = layer_model.make_scratch();
-    layer_model.forward_into(cur, scratch);
-    const std::span<const std::uint32_t> out = scratch.activations();
+    Session layer(Model::create(std::move(single), ForwardPath::kStep));
+    const std::span<const std::uint32_t> out = layer.forward_bits(cur);
     bits.assign(out.begin(), out.end());
     cur.clear();
     for (const std::uint32_t b : bits) cur.push_back(fmt.to_double(b));
@@ -103,7 +102,7 @@ std::vector<std::uint32_t> stitched_forward(const nn::QuantizedNetwork& mixed,
   return bits;
 }
 
-TEST(MixedModelDifferential, FusedPathMatchesStitchedReferenceAcrossGrid) {
+TEST(MixedModelDifferential, SingleRowsMatchStitchedReferenceAcrossGrid) {
   const std::vector<num::Format> pool = fuzz_pool();
   for (std::uint32_t seed = 1; seed <= 24; ++seed) {
     const FuzzCase fc = make_case(seed, pool);
@@ -111,14 +110,13 @@ TEST(MixedModelDifferential, FusedPathMatchesStitchedReferenceAcrossGrid) {
     const nn::QuantizedNetwork qnet = nn::quantize(net, fc.formats);
     ASSERT_FALSE(qnet.uniform_format()) << describe(fc, "-", 0);
     const auto model = Model::create(qnet);
-    Scratch scratch = model->make_scratch();
+    Session session(model);
 
     const std::size_t dim = net.input_dim();
     const std::vector<double> xs = random_rows(8, dim, seed);
     for (std::size_t r = 0; r < 8; ++r) {
       const std::span<const double> x(xs.data() + r * dim, dim);
-      model->forward_into(x, scratch);
-      const std::span<const std::uint32_t> got = scratch.activations();
+      const std::span<const std::uint32_t> got = session.forward_bits(x);
       const std::vector<std::uint32_t> want = stitched_forward(qnet, x);
       ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
           << describe(fc, model->kernel_name(), 1) << " row=" << r;
@@ -126,29 +124,21 @@ TEST(MixedModelDifferential, FusedPathMatchesStitchedReferenceAcrossGrid) {
   }
 }
 
-TEST(MixedModelDifferential, StepPathMatchesFusedPath) {
+TEST(MixedModelDifferential, StepPathMatchesBlockedPath) {
   const std::vector<num::Format> pool = fuzz_pool();
   for (std::uint32_t seed = 31; seed <= 42; ++seed) {
     const FuzzCase fc = make_case(seed, pool);
     const nn::Mlp net(fc.topology, seed);
     const nn::QuantizedNetwork qnet = nn::quantize(net, fc.formats);
-    const auto fused = Model::create(qnet, ForwardPath::kFused);
-    const auto step = Model::create(qnet, ForwardPath::kStep);
-    Scratch fs = fused->make_scratch();
-    Scratch ss = step->make_scratch();
+    const auto blocked = Model::create(qnet, ForwardPath::kBlocked);
+    Session bs(blocked);
+    Session ss(Model::create(qnet, ForwardPath::kStep));
 
     const std::size_t dim = net.input_dim();
     const std::vector<double> xs = random_rows(6, dim, seed);
-    for (std::size_t r = 0; r < 6; ++r) {
-      const std::span<const double> x(xs.data() + r * dim, dim);
-      fused->forward_into(x, fs);
-      step->forward_into(x, ss);
-      const auto a = fs.activations();
-      const auto b = ss.activations();
-      ASSERT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
-                std::vector<std::uint32_t>(b.begin(), b.end()))
-          << describe(fc, fused->kernel_name(), 1) << " row=" << r;
-    }
+    const BatchView view(xs, dim);
+    ASSERT_EQ(bs.forward_bits(view).data, ss.forward_bits(view).data)
+        << describe(fc, blocked->kernel_name(), 1);
   }
 }
 

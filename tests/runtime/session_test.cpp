@@ -1,18 +1,18 @@
-// Acceptance tests for the runtime Model/Session API: Session outputs must
-// equal the legacy DeepPositron outputs bit-for-bit for every format in the
-// paper sweep grid (n in [5,8]), across batch sizes {1, 7, 64} and pool
-// sizes {1, 2, 8} — the API redesign is pure plumbing, never a numerics
-// change. Plus the Session-level contracts: zero-copy single-sample spans,
-// step-vs-fused equality, input validation, and model sharing.
+// Acceptance tests for the runtime Model/Session API: a default Session
+// (the blocked kernels) must equal the legacy path — the paper's step
+// recurrence, ForwardPath::kStep — bit-for-bit for every format in the paper
+// sweep grid (n in [5,8]), across batch sizes {1, 7, 64} and pool sizes
+// {1, 2, 8}. Plus the Session-level contracts: zero-copy single-sample
+// spans, the DP_FORCE_STEP_PATH switch, input validation, and model sharing.
 
 #include "runtime/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <random>
 #include <vector>
 
-#include "nn/deep_positron.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -20,7 +20,7 @@
 namespace dp::runtime {
 namespace {
 
-// An untrained (random-init) net is enough: runtime-vs-legacy equality is a
+// An untrained (random-init) net is enough: blocked-vs-step equality is a
 // property of the execution engine, not of the weights.
 nn::Mlp random_net() { return nn::Mlp({6, 16, 8, 3}, /*seed=*/42); }
 
@@ -32,11 +32,6 @@ std::vector<double> random_batch(std::size_t rows, std::size_t dim, std::uint32_
   return xs;
 }
 
-std::vector<double> row_of(const BatchView& view, std::size_t i) {
-  const auto r = view.row(i);
-  return std::vector<double>(r.begin(), r.end());
-}
-
 TEST(RuntimeSession, BitIdenticalToLegacyAcrossSweepGridBatchAndPoolSizes) {
   const nn::Mlp net = random_net();
   const std::vector<double> flat = random_batch(64, net.input_dim(), 5);
@@ -44,19 +39,20 @@ TEST(RuntimeSession, BitIdenticalToLegacyAcrossSweepGridBatchAndPoolSizes) {
 
   for (int n = 5; n <= 8; ++n) {
     for (const num::Format& fmt : num::paper_format_grid(n)) {
-      const nn::DeepPositron legacy(nn::quantize(net, fmt));
-      // Legacy scalar reference, one fresh engine call per row.
+      const nn::QuantizedNetwork qnet = nn::quantize(net, fmt);
+      // Step-path reference, one single-sample call per row.
+      Session legacy(Model::create(qnet, ForwardPath::kStep));
       std::vector<std::vector<std::uint32_t>> ref_bits;
       std::vector<int> ref_pred;
       for (std::size_t i = 0; i < all.rows(); ++i) {
-        ref_bits.push_back(legacy.forward_bits(row_of(all, i)));
-        ref_pred.push_back(legacy.predict(row_of(all, i)));
+        const auto bits = legacy.forward_bits(all.row(i));
+        ref_bits.emplace_back(bits.begin(), bits.end());
+        ref_pred.push_back(legacy.predict(all.row(i)));
       }
 
+      const auto model = Model::create(qnet);
       for (const std::size_t pool : {1u, 2u, 8u}) {
-        // Share the legacy engine's model — one decode of the weight planes
-        // serves the legacy facade and every Session.
-        Session session(legacy.model(), {pool});
+        Session session(model, {pool});
         for (const std::size_t batch : {1u, 7u, 64u}) {
           const BatchView view(std::span<const double>(flat).first(batch * all.row_width()),
                                all.row_width());
@@ -71,6 +67,13 @@ TEST(RuntimeSession, BitIdenticalToLegacyAcrossSweepGridBatchAndPoolSizes) {
           ASSERT_EQ(pred, std::vector<int>(ref_pred.begin(),
                                            ref_pred.begin() + static_cast<long>(batch)))
               << fmt.name() << " pool " << pool << " batch " << batch;
+        }
+        // The single-sample calls agree with the step path too.
+        for (std::size_t i = 0; i < 8; ++i) {
+          const auto b = session.forward_bits(all.row(i));
+          ASSERT_EQ(std::vector<std::uint32_t>(b.begin(), b.end()), ref_bits[i])
+              << fmt.name() << " single-sample row " << i;
+          ASSERT_EQ(session.predict(all.row(i)), ref_pred[i]) << fmt.name() << " row " << i;
         }
       }
     }
@@ -98,17 +101,19 @@ TEST(RuntimeSession, SingleSampleSpansMatchBatchRows) {
   }
 }
 
-TEST(RuntimeSession, StepAndFusedModelsAreBitIdentical) {
-  const nn::Mlp net = random_net();
-  for (const num::Format& fmt :
-       {num::Format{num::PositFormat{8, 0}}, num::Format{num::FloatFormat{4, 3}},
-        num::Format{num::FixedFormat{8, 6}}}) {
-    Session fused(Model::create(nn::quantize(net, fmt)), {2});
-    Session step(Model::create(nn::quantize(net, fmt), ForwardPath::kStep), {2});
-    const std::vector<double> flat = random_batch(24, net.input_dim(), 21);
-    const BatchView view(flat, net.input_dim());
-    EXPECT_EQ(fused.forward_bits(view).data, step.forward_bits(view).data) << fmt.name();
-  }
+TEST(RuntimeSession, EnvVarForcesStepPath) {
+  const nn::QuantizedNetwork qnet =
+      nn::quantize(random_net(), num::Format{num::PositFormat{8, 0}});
+  ASSERT_EQ(::setenv("DP_FORCE_STEP_PATH", "1", /*overwrite=*/1), 0);
+  const Model forced(qnet);  // would default to kBlocked
+  ::unsetenv("DP_FORCE_STEP_PATH");
+  EXPECT_EQ(forced.forward_path(), ForwardPath::kStep);
+  EXPECT_STREQ(forced.kernel_name(), "none");
+  // "0" and unset leave the default alone.
+  ASSERT_EQ(::setenv("DP_FORCE_STEP_PATH", "0", 1), 0);
+  const Model not_forced(qnet);
+  ::unsetenv("DP_FORCE_STEP_PATH");
+  EXPECT_EQ(not_forced.forward_path(), ForwardPath::kBlocked);
 }
 
 TEST(RuntimeSession, ForwardBitsIntoWritesCallerBufferIdentically) {
@@ -134,16 +139,12 @@ TEST(RuntimeSession, AccuracyMatchesLegacyAndIsPoolInvariant) {
   const std::vector<double> flat = random_batch(50, net.input_dim(), 11);
   const BatchView view(flat, net.input_dim());
   std::vector<int> ys;
-  std::vector<std::vector<double>> legacy_rows;
-  for (std::size_t i = 0; i < view.rows(); ++i) {
-    ys.push_back(static_cast<int>(i % 3));
-    const auto r = view.row(i);
-    legacy_rows.emplace_back(r.begin(), r.end());
-  }
-  const nn::DeepPositron legacy(nn::quantize(net, num::Format{num::PositFormat{8, 0}}));
-  const double ref = legacy.accuracy(legacy_rows, ys);
+  for (std::size_t i = 0; i < view.rows(); ++i) ys.push_back(static_cast<int>(i % 3));
+  const nn::QuantizedNetwork qnet = nn::quantize(net, num::Format{num::PositFormat{8, 0}});
+  const double ref = Session(Model::create(qnet, ForwardPath::kStep)).accuracy(view, ys);
+  const auto model = Model::create(qnet);
   for (const std::size_t pool : {1u, 2u, 8u}) {
-    Session session(legacy.model(), {pool});
+    Session session(model, {pool});
     EXPECT_EQ(session.accuracy(view, ys), ref) << "pool " << pool;
   }
 }
@@ -171,7 +172,7 @@ TEST(RuntimeSession, ValidatesInputs) {
   EXPECT_THROW(session.forward_bits(BatchView(flat, 4)), std::invalid_argument);
   EXPECT_THROW(session.predict(BatchView(flat, 4)), std::invalid_argument);
 
-  // Single-sample size check comes from the model.
+  // Single-sample calls take exactly input_dim() values.
   EXPECT_THROW(session.predict(std::span<const double>(flat.data(), 4)),
                std::invalid_argument);
 
