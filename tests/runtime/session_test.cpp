@@ -41,13 +41,13 @@ TEST(RuntimeSession, BitIdenticalToLegacyAcrossSweepGridBatchAndPoolSizes) {
     for (const num::Format& fmt : num::paper_format_grid(n)) {
       const nn::QuantizedNetwork qnet = nn::quantize(net, fmt);
       // Step-path reference, one single-sample call per row.
-      Session legacy(Model::create(qnet, ForwardPath::kStep));
+      Session step(Model::create(qnet, ForwardPath::kStep));
       std::vector<std::vector<std::uint32_t>> ref_bits;
       std::vector<int> ref_pred;
       for (std::size_t i = 0; i < all.rows(); ++i) {
-        const auto bits = legacy.forward_bits(all.row(i));
+        const auto bits = step.forward_bits(all.row(i));
         ref_bits.emplace_back(bits.begin(), bits.end());
-        ref_pred.push_back(legacy.predict(all.row(i)));
+        ref_pred.push_back(step.predict(all.row(i)));
       }
 
       const auto model = Model::create(qnet);
