@@ -189,23 +189,6 @@ TEST(KernelBound, SpecSelectsTheRegisterItsBoundRequires) {
       }
     }
   }
-  // Pinned selections, one per register: posit<8,0> at k = 128 fits int64,
-  // posit<8,1> needs __int128, posit<8,3> at k = 64 needs Acc256; float<4,3>
-  // fits int64 and float<5,10> needs __int128.
-  const struct {
-    num::Format fmt;
-    std::size_t k;
-    AccKind kind;
-  } pinned[] = {{num::PositFormat{8, 0}, 128, AccKind::kI64},
-                {num::PositFormat{8, 1}, 128, AccKind::kI128},
-                {num::PositFormat{8, 3}, 64, AccKind::kWide},
-                {num::FloatFormat{4, 3}, 128, AccKind::kI64},
-                {num::FloatFormat{5, 10}, 128, AccKind::kI128}};
-  for (const auto& p : pinned) {
-    KernelSpec spec(p.fmt);
-    ASSERT_TRUE(make_kernel_spec(p.fmt, p.k, spec)) << p.fmt.name() << " k=" << p.k;
-    EXPECT_EQ(spec.acc_kind, p.kind) << p.fmt.name() << " k=" << p.k;
-  }
 }
 
 TEST(KernelBound, PositSpecDominatesTheEq4QuireWidth) {

@@ -18,8 +18,10 @@
 // row against one sample, the shape of every single-sample Session call —
 // on fully random rows (Inf/NaN patterns included where the format has
 // them) and adversarial rows (saturation pile-ups, exact cancellation,
-// all-zero, all-NaR), over the grid plus wider formats, and the shared
-// decode table every unit and kernel reads operands through.
+// all-zero, all-NaR), over the grid plus wider formats, against the
+// RTL-faithful unit too; the register each spec selects, and the fallback
+// when none is wide enough; and the shared decode table every unit and
+// kernel reads operands through.
 
 #include "emac/kernel.hpp"
 
@@ -114,12 +116,13 @@ void check_kernel(const Case& c, MatmulKernel& kern,
 }
 
 /// Both kernels against the step oracle on the given operands: weights
-/// [r*k + i], one bias per row, activations [s*k + i].
+/// [r*k + i], one bias per row, activations [s*k + i]. `bit_accurate` runs
+/// the oracle on the RTL-faithful unit instead of the fast one.
 void check_case(const Case& c, const std::vector<std::uint32_t>& weight_bits,
                 const std::vector<std::uint32_t>& bias_bits,
-                const std::vector<std::uint32_t>& act_bits) {
+                const std::vector<std::uint32_t>& act_bits, bool bit_accurate = false) {
   // The oracle: the step() recurrence, one virtual call per MAC.
-  std::unique_ptr<Emac> unit = make_emac(c.fmt, c.k);
+  std::unique_ptr<Emac> unit = make_emac(c.fmt, c.k, bit_accurate);
   std::vector<std::uint32_t> expected(c.samples * c.rows);  // [s*rows + r]
   for (std::size_t s = 0; s < c.samples; ++s) {
     for (std::size_t r = 0; r < c.rows; ++r) {
@@ -302,6 +305,48 @@ TEST_P(DotEquivalenceTest, ExtremeRowsMatchStepLoop) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SweepGrid, DotEquivalenceTest, ::testing::ValuesIn(all_formats()));
+
+TEST(DotEquivalence, RtlModelUsesGenericFallback) {
+  // The RTL-faithful posit unit computes the same dot product as the
+  // kernels: its step() recurrence is the oracle here.
+  const num::PositFormat fmt{6, 1};
+  std::mt19937 rng(77);
+  const std::size_t k = 16;
+  for (std::uint32_t trial = 0; trial < 10; ++trial) {
+    std::vector<std::uint32_t> w(k), a(k);
+    for (auto& v : w) v = rng() & fmt.mask();
+    for (auto& v : a) v = rng() & fmt.mask();
+    const std::uint32_t bias = rng() & fmt.mask();
+    check_case({num::Format{fmt}, k, 1, 1, trial}, w, {bias}, a, /*bit_accurate=*/true);
+  }
+  // A spec whose bound exceeds every register has no kernel: callers fall
+  // back to the generic step() recurrence.
+  const num::Format wide{num::PositFormat{16, 3}};
+  KernelSpec spec(wide);
+  EXPECT_FALSE(make_kernel_spec(wide, k, spec));
+  EXPECT_EQ(MatmulKernel::create(wide, k), nullptr);
+}
+
+TEST(DotEquivalence, NarrowAccumulatorSelection) {
+  // posit<8,0>, k=128: eq. (4)-style bound is 4*6*1 + 2*6 + 8 + 2 = 46 bits
+  // -> int64. posit<8,1>: 4*12 + 2*5 + 8 + 2 = 68 -> __int128. posit<8,3>
+  // at k=64: 4*48 + 2*3 + 7 + 2 = 207 -> Acc256. float<4,3> (we=4, wf=3):
+  // 2*14 + 2*3 + 2 + 8 + 1 = 45 -> int64; float<5,10> -> __int128.
+  const struct {
+    num::Format fmt;
+    std::size_t k;
+    AccKind kind;
+  } pinned[] = {{num::PositFormat{8, 0}, 128, AccKind::kI64},
+                {num::PositFormat{8, 1}, 128, AccKind::kI128},
+                {num::PositFormat{8, 3}, 64, AccKind::kWide},
+                {num::FloatFormat{4, 3}, 128, AccKind::kI64},
+                {num::FloatFormat{5, 10}, 128, AccKind::kI128}};
+  for (const auto& p : pinned) {
+    KernelSpec spec(p.fmt);
+    ASSERT_TRUE(make_kernel_spec(p.fmt, p.k, spec)) << p.fmt.name() << " k=" << p.k;
+    EXPECT_EQ(spec.acc_kind, p.kind) << p.fmt.name() << " k=" << p.k;
+  }
+}
 
 TEST(DotEquivalence, DecodeLutIsSharedAcrossUnitsAndClones) {
   // Units, clones and kernels decode operands through one shared table.

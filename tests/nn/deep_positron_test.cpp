@@ -1,7 +1,8 @@
 // Tests for quantization and the EMAC-backed Deep Positron network end to
 // end: quantize -> runtime::Model -> runtime::Session, the path every bench
 // and example takes. The BatchInference cases pin the batched entry points
-// against the single-sample ones for every family and pool size.
+// against the single-sample ones for every family and pool size; the
+// FusedPath cases pin the default path against the step recurrence.
 
 #include <gtest/gtest.h>
 
@@ -306,6 +307,51 @@ TEST(BatchInference, BadRowSizeThrowsFromWorkerPool) {
   const BatchView narrow(flat, net.input_dim() - 1);
   EXPECT_THROW(session_for(net, fmt, 4).predict(narrow), std::invalid_argument);
   EXPECT_THROW(session_for(net, fmt, 1).predict(narrow), std::invalid_argument);
+}
+
+// The default path (the blocked kernels, step fallback) must be
+// bit-identical to the paper's per-MAC step() recurrence for every format in
+// the sweep grid and at every pool size: it is an execution-engine choice,
+// never a numerics change.
+TEST(FusedPath, BitIdenticalToStepPathAcrossSweepGridAndThreads) {
+  const Mlp net = random_net();
+  const std::vector<double> flat = random_batch(24, net.input_dim(), 13);
+  const BatchView xs(flat, net.input_dim());
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      const QuantizedNetwork qnet = quantize(net, fmt);
+      const auto fast = Model::create(qnet);
+      const auto legacy = Model::create(qnet, runtime::ForwardPath::kStep);
+      ASSERT_EQ(fast->forward_path(), runtime::ForwardPath::kBlocked);
+      ASSERT_EQ(legacy->forward_path(), runtime::ForwardPath::kStep);
+      const std::vector<std::uint32_t> reference = Session(legacy).forward_bits(xs).data;
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        runtime::SessionOptions opts;
+        opts.num_threads = threads;
+        EXPECT_EQ(Session(fast, opts).forward_bits(xs).data, reference)
+            << fmt.name() << " default vs step at " << threads << " threads";
+        EXPECT_EQ(Session(legacy, opts).forward_bits(xs).data, reference)
+            << fmt.name() << " step at " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(FusedPath, ScalarOverloadsUseFusedPathConsistently) {
+  // Single-sample calls on the default path agree with the step path.
+  const Mlp net = random_net();
+  const std::vector<double> flat = random_batch(8, net.input_dim(), 21);
+  const BatchView xs(flat, net.input_dim());
+  const num::Format fmt{num::PositFormat{8, 1}};
+  Session fast(Model::create(quantize(net, fmt)));
+  Session legacy(Model::create(quantize(net, fmt), runtime::ForwardPath::kStep));
+  for (std::size_t i = 0; i < xs.rows(); ++i) {
+    const auto got = fast.forward_bits(xs.row(i));
+    const std::vector<std::uint32_t> fast_bits(got.begin(), got.end());
+    const auto want = legacy.forward_bits(xs.row(i));
+    EXPECT_EQ(fast_bits, std::vector<std::uint32_t>(want.begin(), want.end())) << "row " << i;
+    EXPECT_EQ(fast.predict(xs.row(i)), legacy.predict(xs.row(i))) << "row " << i;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // recurrence, ForwardPath::kStep — bit-for-bit for every format in the paper
 // sweep grid (n in [5,8]), across batch sizes {1, 7, 64} and pool sizes
 // {1, 2, 8}. Plus the Session-level contracts: zero-copy single-sample
-// spans, the DP_FORCE_STEP_PATH switch, input validation, and model sharing.
+// spans, step-vs-blocked equality, the DP_FORCE_STEP_PATH switch, input
+// validation, and model sharing.
 
 #include "runtime/session.hpp"
 
@@ -98,6 +99,21 @@ TEST(RuntimeSession, SingleSampleSpansMatchBatchRows) {
     EXPECT_EQ(std::vector<double>(s.begin(), s.end()),
               std::vector<double>(scores.row(i).begin(), scores.row(i).end()));
     EXPECT_EQ(session.predict(view.row(i)), preds[i]);
+  }
+}
+
+TEST(RuntimeSession, StepAndFusedModelsAreBitIdentical) {
+  // The default model (blocked kernels) and the step model, one format per
+  // family, on a pool of two.
+  const nn::Mlp net = random_net();
+  for (const num::Format& fmt :
+       {num::Format{num::PositFormat{8, 0}}, num::Format{num::FloatFormat{4, 3}},
+        num::Format{num::FixedFormat{8, 6}}}) {
+    Session blocked(Model::create(nn::quantize(net, fmt)), {2});
+    Session step(Model::create(nn::quantize(net, fmt), ForwardPath::kStep), {2});
+    const std::vector<double> flat = random_batch(24, net.input_dim(), 21);
+    const BatchView view(flat, net.input_dim());
+    EXPECT_EQ(blocked.forward_bits(view).data, step.forward_bits(view).data) << fmt.name();
   }
 }
 
