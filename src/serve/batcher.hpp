@@ -18,7 +18,7 @@
 // bound (reject-at-admission keeps the tail latency of *accepted* requests
 // bounded by max_wait + one batch's service time).
 //
-// Requests may carry a DEADLINE (the protocol-v3 budget, converted to a
+// Requests may carry a DEADLINE (the protocol-v4 budget, converted to a
 // steady-clock instant at decode): a request whose deadline passes while it
 // is still queued is shed at carve time with Status::kDeadlineExceeded —
 // its rows never reach a Session, so an already-too-late request cannot

@@ -1,8 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <algorithm>
-#include <array>
-
 #include "core/crc32.hpp"
 
 namespace dp::serve {
@@ -42,8 +39,8 @@ std::uint64_t get_u64(std::span<const std::uint8_t> b, std::size_t at) {
 }
 
 /// The validated fixed-header fields every reader needs before it can size
-/// the rest of the frame. Shared by decode / try_extract / read_frame so the
-/// three paths enforce exactly the same rules.
+/// the rest of the frame. Shared by decode and try_extract so both paths
+/// enforce exactly the same rules.
 struct Header {
   std::uint8_t version = 0;
   FrameType type = FrameType::kRequest;
@@ -56,8 +53,7 @@ Header parse_header(std::span<const std::uint8_t> b) {
   if (get_u32(b, 0) != kFrameMagic) throw ProtocolError("serve protocol: bad magic");
   Header h;
   h.version = b[4];
-  if (h.version != kProtocolV1 && h.version != kProtocolV2 && h.version != kProtocolV3 &&
-      h.version != kProtocolV4) {
+  if (h.version != kProtocolV1 && h.version != kProtocolV2 && h.version != kProtocolV4) {
     throw ProtocolError("serve protocol: unsupported version " + std::to_string(h.version));
   }
   const std::uint8_t type = b[5];
@@ -79,27 +75,30 @@ Header parse_header(std::span<const std::uint8_t> b) {
   return h;
 }
 
-/// Bytes between the fixed header and the name-length byte: v3 inserts the
-/// deadline-budget field there, v4 the deadline budget plus the
-/// payload-encoding byte; v1/v2 have nothing (v1 has no name block at all).
-/// Factoring the offsets this way keeps all four reader paths in agreement
-/// about where each version's fields live.
-std::size_t pre_name_bytes(const Header& h) {
-  if (h.version == kProtocolV4) return kDeadlineBytes + 1;
-  return h.version == kProtocolV3 ? kDeadlineBytes : 0;
+/// Bytes between the fixed header and the name-length byte: v4 inserts the
+/// deadline budget plus the payload-encoding byte there; v1/v2 have nothing
+/// (v1 has no name block at all).
+std::size_t pre_name_bytes(std::uint8_t version) {
+  return version == kProtocolV4 ? kDeadlineBytes + 1 : 0;
 }
 
-/// Offset of the payload, given the version and (v2+) name length.
-std::size_t payload_offset(const Header& h, std::size_t name_len) {
+/// Offset of the name block (v2/v4: just past the name-length byte).
+std::size_t name_offset(std::uint8_t version) {
+  return kHeaderBytes + pre_name_bytes(version) + 1;
+}
+
+/// Offset of the payload in the frame at the front of `bytes`, or 0 when
+/// `bytes` ends before the name-length byte. Shared by decode and
+/// try_extract, so both size a frame by the same rules.
+std::size_t payload_offset(const Header& h, std::span<const std::uint8_t> bytes) {
   if (h.version == kProtocolV1) return kHeaderBytes;
-  return kHeaderBytes + pre_name_bytes(h) + 1 + name_len;
-}
-
-std::size_t checked_name_len(std::uint8_t len) {
-  if (len > kMaxModelNameBytes) {
+  const std::size_t at = name_offset(h.version);
+  if (bytes.size() < at) return 0;
+  const std::uint8_t name_len = bytes[at - 1];
+  if (name_len > kMaxModelNameBytes) {
     throw ProtocolError("serve protocol: model name length exceeds bound");
   }
-  return len;
+  return at + name_len;
 }
 
 }  // namespace
@@ -127,19 +126,17 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 
 std::vector<std::uint8_t> encode(const Frame& frame) {
   if (frame.version != kProtocolV1 && frame.version != kProtocolV2 &&
-      frame.version != kProtocolV3 && frame.version != kProtocolV4) {
+      frame.version != kProtocolV4) {
     throw ProtocolError("serve protocol: cannot encode unknown version " +
                         std::to_string(frame.version));
   }
   if (frame.version == kProtocolV1 && !frame.model.empty()) {
     throw ProtocolError("serve protocol: a v1 frame cannot carry a model name");
   }
-  if (frame.version != kProtocolV3 && frame.version != kProtocolV4 &&
-      frame.deadline_us != 0) {
-    throw ProtocolError("serve protocol: only a v3/v4 frame can carry a deadline budget");
-  }
-  if (frame.version != kProtocolV4 && frame.payload_encoding != kPayloadEncodingRaw) {
-    throw ProtocolError("serve protocol: only a v4 frame can carry a payload encoding");
+  if (frame.version != kProtocolV4 &&
+      (frame.deadline_us != 0 || frame.payload_encoding != kPayloadEncodingRaw)) {
+    throw ProtocolError(
+        "serve protocol: only a v4 frame can carry a deadline budget or payload encoding");
   }
   if (frame.payload_encoding > kPayloadEncodingCodec) {
     throw ProtocolError("serve protocol: unknown payload encoding " +
@@ -152,12 +149,8 @@ std::vector<std::uint8_t> encode(const Frame& frame) {
   if (payload_bytes > kMaxPayloadBytes) {
     throw ProtocolError("serve protocol: payload exceeds kMaxPayloadBytes");
   }
-  const bool has_deadline = frame.version == kProtocolV3 || frame.version == kProtocolV4;
   const std::size_t name_block =
-      frame.version == kProtocolV1
-          ? 0
-          : (has_deadline ? kDeadlineBytes : 0) + (frame.version == kProtocolV4 ? 1 : 0) +
-                1 + frame.model.size();
+      frame.version == kProtocolV1 ? 0 : pre_name_bytes(frame.version) + 1 + frame.model.size();
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderBytes + name_block + payload_bytes + kTrailerBytes);
   put_u32(out, kFrameMagic);
@@ -166,8 +159,10 @@ std::vector<std::uint8_t> encode(const Frame& frame) {
   put_u16(out, static_cast<std::uint16_t>(frame.status));
   put_u64(out, frame.request_id);
   put_u32(out, static_cast<std::uint32_t>(payload_bytes));
-  if (has_deadline) put_u64(out, frame.deadline_us);
-  if (frame.version == kProtocolV4) out.push_back(frame.payload_encoding);
+  if (frame.version == kProtocolV4) {
+    put_u64(out, frame.deadline_us);
+    out.push_back(frame.payload_encoding);
+  }
   if (frame.version != kProtocolV1) {
     out.push_back(static_cast<std::uint8_t>(frame.model.size()));
     out.insert(out.end(), frame.model.begin(), frame.model.end());
@@ -182,16 +177,8 @@ Frame decode(std::span<const std::uint8_t> bytes) {
     throw ProtocolError("serve protocol: truncated frame (shorter than header + CRC)");
   }
   const Header h = parse_header(bytes);
-  std::size_t name_len = 0;
-  if (h.version != kProtocolV1) {
-    const std::size_t name_len_at = kHeaderBytes + pre_name_bytes(h);
-    if (bytes.size() < name_len_at + 1 + kTrailerBytes) {
-      throw ProtocolError("serve protocol: truncated frame (no name block)");
-    }
-    name_len = checked_name_len(bytes[name_len_at]);
-  }
-  const std::size_t at = payload_offset(h, name_len);
-  if (bytes.size() != at + h.payload_bytes + kTrailerBytes) {
+  const std::size_t at = payload_offset(h, bytes);
+  if (at == 0 || bytes.size() != at + h.payload_bytes + kTrailerBytes) {
     throw ProtocolError("serve protocol: frame length disagrees with length fields");
   }
   const std::uint32_t want = get_u32(bytes, at + h.payload_bytes);
@@ -203,20 +190,16 @@ Frame decode(std::span<const std::uint8_t> bytes) {
   frame.type = h.type;
   frame.status = h.status;
   frame.request_id = h.request_id;
-  if (h.version == kProtocolV3 || h.version == kProtocolV4) {
-    frame.deadline_us = get_u64(bytes, kHeaderBytes);
-  }
   if (h.version == kProtocolV4) {
+    frame.deadline_us = get_u64(bytes, kHeaderBytes);
     frame.payload_encoding = bytes[kHeaderBytes + kDeadlineBytes];
     if (frame.payload_encoding > kPayloadEncodingCodec) {
       throw ProtocolError("serve protocol: unknown payload encoding " +
                           std::to_string(frame.payload_encoding));
     }
   }
-  if (name_len > 0) {
-    frame.model.assign(reinterpret_cast<const char*>(bytes.data()) + kHeaderBytes +
-                           pre_name_bytes(h) + 1,
-                       name_len);
+  if (h.version != kProtocolV1) {
+    frame.model.assign(bytes.begin() + name_offset(h.version), bytes.begin() + at);
   }
   frame.payload.resize(h.payload_bytes / 4);
   for (std::size_t i = 0; i < frame.payload.size(); ++i) {
@@ -231,13 +214,9 @@ std::optional<Frame> try_extract(std::span<const std::uint8_t> bytes, std::size_
   // Validate the header as soon as it is complete: garbage must fail here,
   // not stall the connection waiting for a length it promised.
   const Header h = parse_header(bytes);
-  std::size_t name_len = 0;
-  if (h.version != kProtocolV1) {
-    const std::size_t name_len_at = kHeaderBytes + pre_name_bytes(h);
-    if (bytes.size() < name_len_at + 1) return std::nullopt;
-    name_len = checked_name_len(bytes[name_len_at]);
-  }
-  const std::size_t total = payload_offset(h, name_len) + h.payload_bytes + kTrailerBytes;
+  const std::size_t at = payload_offset(h, bytes);
+  if (at == 0) return std::nullopt;
+  const std::size_t total = at + h.payload_bytes + kTrailerBytes;
   if (bytes.size() < total) return std::nullopt;
   Frame frame = decode(bytes.first(total));
   consumed = total;
@@ -247,35 +226,6 @@ std::optional<Frame> try_extract(std::span<const std::uint8_t> bytes, std::size_
 void write_frame(FdStream& stream, const Frame& frame) {
   const std::vector<std::uint8_t> bytes = encode(frame);
   stream.write_all(bytes.data(), bytes.size());
-}
-
-std::optional<Frame> read_frame(FdStream& stream) {
-  // Read the fixed header first: it carries the version and payload length
-  // that size the remainder. All bounds are enforced before any allocation.
-  std::array<std::uint8_t, kHeaderBytes> header;
-  if (!stream.read_exact(header.data(), header.size())) return std::nullopt;
-  const Header h = parse_header(header);
-  std::vector<std::uint8_t> frame_bytes(header.begin(), header.end());
-  std::size_t name_len = 0;
-  if (h.version != kProtocolV1) {
-    // v2: one name-length byte; v3: the deadline budget first, then it; v4:
-    // budget, payload-encoding byte, then it.
-    std::array<std::uint8_t, kDeadlineBytes + 2> pre;
-    const std::size_t pre_len = pre_name_bytes(h) + 1;
-    if (!stream.read_exact(pre.data(), pre_len)) {
-      throw TransportError("serve transport: stream ended mid-frame");
-    }
-    frame_bytes.insert(frame_bytes.end(), pre.begin(), pre.begin() + pre_len);
-    name_len = checked_name_len(pre[pre_len - 1]);
-  }
-  const std::size_t rest = (h.version == kProtocolV1 ? 0 : name_len) + h.payload_bytes +
-                           kTrailerBytes;
-  const std::size_t have = frame_bytes.size();
-  frame_bytes.resize(have + rest);
-  if (!stream.read_exact(frame_bytes.data() + have, rest)) {
-    throw TransportError("serve transport: stream ended mid-frame");
-  }
-  return decode(frame_bytes);
 }
 
 }  // namespace dp::serve

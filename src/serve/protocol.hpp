@@ -3,7 +3,7 @@
 // carrying sample payloads as raw network-format bit patterns (posit /
 // minifloat / fixed — whatever the served Model was quantized to).
 //
-// Four frame versions are live (full byte tables in docs/serving.md):
+// Three frame versions are live (full byte tables in docs/serving.md):
 //
 //   v1 — the original single-model frame:
 //
@@ -33,32 +33,14 @@
 // is the demux key and needs no name — so a v1-only client never sees a v2
 // byte no matter what the server is doing.
 //
-//   v3 — v2 plus a CRC-covered deadline budget between the fixed header and
-//   the name block (v1 and v2 encodings are pinned unchanged, byte for byte):
-//
-//     offset  size  field
-//     0..19         as v1, with version = 3 (kProtocolV3)
-//     20      8     deadline budget: microseconds REMAINING for this request
-//                   (u64 little-endian; 0 = no deadline)
-//     28      1     model name length M (0..kMaxModelNameBytes)
-//     29      M     model name
-//     29+M    N     payload
-//     29+M+N  4     CRC-32 over bytes [0, 29+M+N)
-//
-// The budget is relative, not an absolute wall-clock instant, so it survives
-// clock skew between peers: the server converts it to a steady-clock
-// deadline the moment the frame is decoded, and a request whose budget
-// expires while queued is shed with kDeadlineExceeded instead of burning a
-// dispatcher slot (serve/batcher.hpp). A zero budget means "no deadline" —
-// such a frame is routed exactly like a v2 frame.
-//
-//   v4 — v3 plus a CRC-covered payload-encoding byte between the deadline
-//   budget and the name block (v1/v2/v3 encodings stay pinned, byte for
-//   byte):
+//   v4 — v2 plus a CRC-covered deadline budget and payload-encoding byte
+//   between the fixed header and the name block (v1 and v2 encodings are
+//   pinned unchanged, byte for byte):
 //
 //     offset  size  field
 //     0..19         as v1, with version = 4 (kProtocolV4)
-//     20      8     deadline budget (as v3)
+//     20      8     deadline budget: microseconds REMAINING for this request
+//                   (u64 little-endian; 0 = no deadline)
 //     28      1     payload encoding (0 = raw patterns, 1 = entropy-coded
 //                   block, kPayloadEncoding*; anything else is rejected)
 //     29      1     model name length M
@@ -66,7 +48,16 @@
 //     30+M    N     payload
 //     30+M+N  4     CRC-32 over bytes [0, 30+M+N)
 //
-// Encoding 0 means the payload words are bit patterns exactly as in v1–v3.
+// The budget is relative, not an absolute wall-clock instant, so it survives
+// clock skew between peers: the server converts it to a steady-clock
+// deadline the moment the frame is decoded, and a request whose budget
+// expires while queued is shed with kDeadlineExceeded instead of burning a
+// dispatcher slot (serve/batcher.hpp). A zero budget means "no deadline".
+//
+// Version 3 (a deadline without the encoding byte) was retired in favour of
+// v4 with encoding 0; the decoder rejects it like any unknown version.
+//
+// Encoding 0 means the payload words are bit patterns exactly as in v1/v2.
 // Encoding 1 means they are a codec/payload.hpp block: element count, coded
 // byte length, then the range-coded bytes packed LE into u32 words — still
 // N % 4 == 0, still inside kMaxPayloadBytes, so every existing frame bound
@@ -103,9 +94,8 @@ namespace dp::serve {
 
 inline constexpr std::uint8_t kProtocolV1 = 1;  ///< single-model frames
 inline constexpr std::uint8_t kProtocolV2 = 2;  ///< + model-name routing block
-inline constexpr std::uint8_t kProtocolV3 = 3;  ///< + deadline-budget field
-inline constexpr std::uint8_t kProtocolV4 = 4;  ///< + payload-encoding byte
-/// Size of the v3/v4 deadline-budget field (u64 microseconds remaining).
+inline constexpr std::uint8_t kProtocolV4 = 4;  ///< + deadline budget, payload encoding
+/// Size of the v4 deadline-budget field (u64 microseconds remaining).
 inline constexpr std::size_t kDeadlineBytes = 8;
 /// Values of the v4 payload-encoding byte.
 inline constexpr std::uint8_t kPayloadEncodingRaw = 0;
@@ -138,12 +128,11 @@ class ProtocolError : public std::runtime_error {
 
 /// One decoded frame. `payload` holds bit patterns: request = input features
 /// in the model's format, response = readout activations. `model` is the
-/// v2/v3/v4 routing name; it must be empty on a v1 frame (encode enforces
-/// this), and decode leaves it empty for v1 input. `deadline_us` is the
-/// v3/v4 deadline budget (microseconds remaining; 0 = none) — encode rejects
-/// a nonzero budget on a v1/v2 frame, so the older encodings cannot drift.
-/// `payload_encoding` is the v4 byte (kPayloadEncoding*); encode rejects a
-/// nonzero value on any older version for the same reason.
+/// v2/v4 routing name; it must be empty on a v1 frame (encode enforces
+/// this), and decode leaves it empty for v1 input. `deadline_us` is the v4
+/// deadline budget (microseconds remaining; 0 = none) and `payload_encoding`
+/// the v4 encoding byte (kPayloadEncoding*) — encode rejects a nonzero value
+/// of either on a v1/v2 frame, so the older encodings cannot drift.
 struct Frame {
   std::uint8_t version = kProtocolV1;
   FrameType type = FrameType::kRequest;
@@ -164,13 +153,12 @@ std::uint32_t crc32(std::span<const std::uint8_t> data);
 /// Serialize a frame (header [+ deadline budget] [+ encoding byte] [+ name
 /// block] + payload + CRC trailer). Throws ProtocolError if the payload
 /// exceeds kMaxPayloadBytes, the name exceeds kMaxModelNameBytes, a v1 frame
-/// carries a name, a v1/v2 frame carries a deadline budget, a pre-v4 frame
-/// carries a nonzero payload encoding, the encoding byte is unknown, or the
-/// version is unknown.
+/// carries a name, a v1/v2 frame carries a deadline budget or a nonzero
+/// payload encoding, the encoding byte is unknown, or the version is unknown.
 std::vector<std::uint8_t> encode(const Frame& frame);
 
 /// Parse one complete frame from `bytes` (which must be exactly one frame).
-/// Accepts both versions; throws ProtocolError on any violation.
+/// Accepts v1, v2 and v4; throws ProtocolError on any violation.
 Frame decode(std::span<const std::uint8_t> bytes);
 
 /// Incremental framing for event-loop readers: inspect the front of `bytes`
@@ -184,10 +172,5 @@ std::optional<Frame> try_extract(std::span<const std::uint8_t> bytes, std::size_
 
 /// Blocking framed write: encode + write_all.
 void write_frame(FdStream& stream, const Frame& frame);
-
-/// Blocking framed read (either version). Returns std::nullopt on clean
-/// end-of-stream (peer closed between frames); throws ProtocolError on
-/// malformed bytes and TransportError if the stream dies mid-frame.
-std::optional<Frame> read_frame(FdStream& stream);
 
 }  // namespace dp::serve

@@ -118,17 +118,7 @@ Reply ResilientClient::forward_bits(std::span<const double> x) {
 int ResilientClient::predict(std::span<const double> x) {
   const Reply reply = forward_bits(x);
   if (!reply.ok() || reply.bits.empty()) return -1;
-  // Same recurrence as Client::predict / runtime::Model::readout_argmax.
-  int best = 0;
-  double best_score = model_->output_format().to_double(reply.bits[0]);
-  for (std::size_t i = 1; i < reply.bits.size(); ++i) {
-    const double score = model_->output_format().to_double(reply.bits[i]);
-    if (score > best_score) {
-      best = static_cast<int>(i);
-      best_score = score;
-    }
-  }
-  return best;
+  return model_->argmax_bits(reply.bits);
 }
 
 }  // namespace dp::serve

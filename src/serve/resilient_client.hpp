@@ -31,7 +31,7 @@
 // across clients while a test replays exactly.
 //
 // Deadlines: with ResilientClientOptions::deadline_budget_us set, every
-// request goes out as a protocol-v3 frame carrying the microseconds left of
+// request goes out as a protocol-v4 frame carrying the microseconds left of
 // that budget — recomputed per attempt from the moment the call started, so
 // a retried request tells the server how much budget the RETRY has left, not
 // the original figure.
@@ -76,7 +76,7 @@ struct ResilientClientOptions {
   /// whose attempt times out returns Reply{kTimeout} after a reconnect —
   /// never an automatic re-send (see the retryability table above).
   std::optional<std::chrono::milliseconds> recv_timeout;
-  /// End-to-end deadline budget propagated as the v3 frame field,
+  /// End-to-end deadline budget propagated as the v4 frame field,
   /// microseconds (0 = none). Counted from each call's start across all its
   /// attempts; when it runs out before an attempt begins, the call returns
   /// kDeadlineExceeded without touching the wire.
@@ -97,7 +97,7 @@ struct ResilientClientStats {
 
 class ResilientClient {
  public:
-  /// How to open a connection; lets tests dial through a FaultInjector.
+  /// How to open a connection; lets tests dial through a fault-injecting relay.
   using Dialer = std::function<FdStream()>;
 
   /// Dial a Server's TCP listener on this host (tcp_connect semantics).

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "codec/payload.hpp"
-#include "serve/fault_injection.hpp"
 
 namespace dp::serve {
 
@@ -111,7 +110,6 @@ Server::Server(std::unique_ptr<ModelRegistry> owned, ModelRegistry* external,
                             ? 0
                             : std::max(1.0, opts.rate_limit_burst > 0 ? opts.rate_limit_burst
                                                                       : opts.rate_limit_rps)),
-      chaos_(opts.chaos),
       start_(Clock::now()) {
   const std::size_t n = resolve_shards(opts.shards);
   shards_.reserve(n);
@@ -316,12 +314,6 @@ void Server::accept_from(Shard& sh, Transport& transport,
     // the stopping loop's graceful-close sweep reads whatever it sent,
     // answers each frame kShutdown, and ends the stream with a clean EOF
     // within a tick or two.
-    if (chaos_ && !metrics_conn) {
-      // Fault injection: splice the injector's relay between this loop and
-      // the real peer, so every byte of the conversation can be sliced,
-      // delayed or reset under test control.
-      stream = chaos_->wrap(std::move(stream));
-    }
     stream.set_nonblocking(true);
     auto conn = std::make_shared<Conn>(std::move(stream));
     conn->owner = &sh;
@@ -725,9 +717,9 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
     enqueue_response(conn, id, Status::kOverloaded, {});
     return;
   }
-  // Route: v2 by name, v1 (empty name) to the default entry. The lease pins
-  // the entry so a concurrent hot swap waits for this submit to land, then
-  // drains it on the old model — never drops it.
+  // Route: v2/v4 by name, v1 (empty name) to the default entry. The lease
+  // pins the entry so a concurrent hot swap waits for this submit to land,
+  // then drains it on the old model — never drops it.
   ModelRegistry::Lease lease = registry_->acquire(frame.model);
   if (!lease) {
     // Re-check draining_: stop() may have emptied the registry between the
@@ -775,7 +767,7 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
   // values, so this decode->requantize round trip is exact.
   sh.x_scratch.resize(dim);
   for (std::size_t i = 0; i < dim; ++i) sh.x_scratch[i] = fmt.to_double(patterns[i]);
-  // The v3 deadline budget is relative (microseconds remaining, so it
+  // The v4 deadline budget is relative (microseconds remaining, so it
   // survives clock skew); anchor it to OUR steady clock the moment the
   // request enters the process. The batcher sheds it with kDeadlineExceeded
   // if the instant passes while it is still queued.
@@ -891,13 +883,12 @@ std::uint64_t Client::send(std::span<const double> x, std::uint64_t deadline_bud
     throw std::invalid_argument("serve::Client: sample size != model input_dim");
   }
   Frame frame;
-  // Compression needs the v4 layout, a deadline at least v3; otherwise keep
-  // the smallest frame that can route the request (v1 for the default entry,
-  // v2 for a named one).
-  frame.version = opts_.compress           ? kProtocolV4
-                  : deadline_budget_us > 0 ? kProtocolV3
-                  : model_name_.empty()    ? kProtocolV1
-                                           : kProtocolV2;
+  // Compression and deadlines need the v4 layout; otherwise keep the
+  // smallest frame that can route the request (v1 for the default entry, v2
+  // for a named one).
+  frame.version = opts_.compress || deadline_budget_us > 0 ? kProtocolV4
+                  : model_name_.empty()                    ? kProtocolV1
+                                                           : kProtocolV2;
   frame.type = FrameType::kRequest;
   frame.request_id = next_id_++;
   frame.model = model_name_;
@@ -959,7 +950,12 @@ std::optional<Frame> Client::next_frame(
     // with one the poll above guaranteed something readable (data or EOF).
     std::uint8_t chunk[4096];
     const ssize_t n = stream_.read_some(chunk, sizeof(chunk));
-    if (n == 0) return std::nullopt;  // clean EOF
+    if (n == 0) {
+      // EOF between frames is a clean close; EOF with part of a frame
+      // buffered means the stream died mid-frame.
+      if (rbuf_head_ == rbuf_.size()) return std::nullopt;
+      throw TransportError("serve::Client: stream ended mid-frame");
+    }
     if (n > 0) rbuf_.insert(rbuf_.end(), chunk, chunk + n);
   }
 }
@@ -1077,18 +1073,7 @@ std::vector<double> Client::forward(std::span<const double> x) {
 int Client::predict(std::span<const double> x) {
   const Reply reply = forward_bits(x);
   if (!reply.ok() || reply.bits.empty()) return -1;
-  // Same recurrence as runtime::Model::readout_argmax: first strictly
-  // greatest decoded score wins, so served predictions match Session ones.
-  int best = 0;
-  double best_score = model_->output_format().to_double(reply.bits[0]);
-  for (std::size_t i = 1; i < reply.bits.size(); ++i) {
-    const double score = model_->output_format().to_double(reply.bits[i]);
-    if (score > best_score) {
-      best = static_cast<int>(i);
-      best_score = score;
-    }
-  }
-  return best;
+  return model_->argmax_bits(reply.bits);
 }
 
 void Client::close() { stream_.shutdown_write(); }

@@ -46,7 +46,7 @@
 //     a batcher, so one chatty client cannot crowd the shared admission
 //     queues (metrics frames are exempt).
 //
-// Requests may carry a protocol-v3 deadline budget; the shard converts it
+// Requests may carry a protocol-v4 deadline budget; the shard converts it
 // to a steady-clock instant at decode and the batcher sheds the request
 // with kDeadlineExceeded if it expires while still queued (batcher.hpp).
 //
@@ -58,7 +58,7 @@
 // every connection and closes (curl/nc-friendly, no framing).
 //
 // Request path per frame: the owning shard decodes it, routes it through
-// the registry — a v2 frame by its model-name field, a v1 frame (or an
+// the registry — a v2/v4 frame by its model-name field, a v1 frame (or an
 // empty name) to the default entry; an unknown name gets kNotFound — checks
 // the feature count against that entry's model (mismatch -> kBadRequest
 // without touching the batcher), and submits into the entry's lane for this
@@ -95,8 +95,6 @@
 #include "serve/transport.hpp"
 
 namespace dp::serve {
-
-class FaultInjector;  // serve/fault_injection.hpp
 
 struct ServerOptions {
   /// Batcher of the implicit "default" entry the single-model constructor
@@ -144,11 +142,6 @@ struct ServerOptions {
   /// frames. 0 resolves to rate_limit_rps; clamped to >= 1 so a conforming
   /// client is never starved by a sub-1 bucket.
   double rate_limit_burst = 0;
-  /// Fault injection (tests, bench_loadgen --chaos): every accepted request
-  /// connection is rewired through injector->wrap(), exposing the server to
-  /// short reads/writes, injected delays and mid-stream resets. nullptr in
-  /// production.
-  std::shared_ptr<FaultInjector> chaos;
 };
 
 /// Wire- and connection-level counters of ONE shard (Server::shard_stats();
@@ -355,7 +348,6 @@ class Server {
   const std::size_t max_inflight_per_connection_;
   const double rate_limit_rps_;
   const double rate_limit_burst_;  // resolved capacity (>= 1 when limiting)
-  const std::shared_ptr<FaultInjector> chaos_;  // wraps accepted request conns
   const std::chrono::steady_clock::time_point start_;  // metrics uptime epoch
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -398,8 +390,8 @@ class Client {
  public:
   /// Adopt an already-connected stream (Server::connect() and connect_tcp()
   /// are the usual front doors; this is for callers that dialed themselves —
-  /// e.g. through a FaultInjector). `model` must describe the entry requests
-  /// route to; an empty `model_name` speaks v1 to the default entry.
+  /// e.g. through a fault-injecting relay). `model` must describe the entry
+  /// requests route to; an empty `model_name` speaks v1 to the default entry.
   Client(std::shared_ptr<const runtime::Model> model, FdStream stream, std::string model_name)
       : model_(std::move(model)), stream_(std::move(stream)),
         model_name_(std::move(model_name)) {}
@@ -421,15 +413,15 @@ class Client {
   void set_options(ClientOptions opts) { opts_ = std::move(opts); }
 
   /// Quantize `x` into the target model's format (the wire carries raw bit
-  /// patterns, docs/serving.md), frame it (v1, or v2 when a model name is
-  /// attached), write it. Returns the request id. Throws
-  /// std::invalid_argument unless x.size() == the model input_dim.
+  /// patterns, docs/serving.md), frame it (v1, v2 when a model name is
+  /// attached, v4 when compressing), write it. Returns the request id.
+  /// Throws std::invalid_argument unless x.size() == the model input_dim.
   std::uint64_t send(std::span<const double> x);
 
-  /// send() carrying a v3 deadline budget: microseconds this request has
-  /// left, end to end. The server sheds it with kDeadlineExceeded if the
-  /// budget expires while it is still queued. 0 falls back to a plain v1/v2
-  /// frame (no deadline).
+  /// send() carrying a deadline budget in a v4 frame: microseconds this
+  /// request has left, end to end. The server sheds it with
+  /// kDeadlineExceeded if the budget expires while it is still queued. 0
+  /// means no deadline, framed as send(x) frames it.
   std::uint64_t send(std::span<const double> x, std::uint64_t deadline_budget_us);
 
   /// Block until the response for `id` arrives (buffering any other
@@ -469,8 +461,9 @@ class Client {
 
   /// Read the next frame off the wire (through the client's internal read
   /// buffer, so it composes with receive()'s buffering); std::nullopt once
-  /// the server closes. Honours recv_timeout, throwing TransportError on
-  /// expiry.
+  /// the server closes between frames. Throws ProtocolError on malformed
+  /// bytes, and TransportError if the stream ends mid-frame or recv_timeout
+  /// expires.
   std::optional<Frame> receive_frame();
 
   /// Half-close: tells the server this client is done sending.
@@ -487,7 +480,7 @@ class Client {
   /// ProtocolError if the compressed block is malformed.
   Reply to_reply(Frame&& frame);
   /// Framed read through rbuf_: returns the next frame, nullopt on clean
-  /// EOF; on `deadline` expiry sets `timed_out` and returns nullopt without
+  /// EOF (TransportError on EOF mid-frame); on `deadline` expiry sets `timed_out` and returns nullopt without
   /// consuming anything (a partial frame stays buffered for the next call).
   std::optional<Frame> next_frame(
       const std::optional<std::chrono::steady_clock::time_point>& deadline, bool& timed_out);

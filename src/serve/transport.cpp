@@ -56,24 +56,6 @@ void FdStream::write_all(const void* data, std::size_t len) {
   }
 }
 
-bool FdStream::read_exact(void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::recv(fd_, p + got, len - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("recv");
-    }
-    if (n == 0) {
-      if (got == 0) return false;  // clean EOF on a frame boundary
-      throw TransportError("serve transport: stream ended mid-buffer");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void FdStream::set_nonblocking(bool on) {
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags < 0) throw_errno("fcntl(F_GETFL)");

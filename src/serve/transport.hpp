@@ -55,14 +55,10 @@ class FdStream {
   /// TransportError on failure, including a closed peer.
   void write_all(const void* data, std::size_t len);
 
-  /// Read exactly `len` bytes. Returns false on clean end-of-stream at byte
-  /// 0 (peer finished and closed); throws TransportError if the stream ends
-  /// mid-buffer or on any OS error.
-  bool read_exact(void* data, std::size_t len);
-
   // --- Non-blocking operations (the poll-loop side) -------------------------
   // Event-loop connections are switched to non-blocking mode once and then
-  // driven purely by readiness: these calls never park a thread.
+  // driven purely by readiness: these calls never park a thread. On a
+  // blocking fd (Client, test relays) read_some parks until bytes or EOF.
 
   /// O_NONBLOCK on or off. Throws TransportError if the fcntl fails.
   void set_nonblocking(bool on);
@@ -77,12 +73,12 @@ class FdStream {
   /// TransportError on any real error (including a vanished peer).
   ssize_t write_some(const void* data, std::size_t len);
 
-  /// Half-close the write side: the peer's next read_exact returns false
-  /// once buffered data drains. Used for orderly connection teardown.
+  /// Half-close the write side: the peer reads end-of-stream once buffered
+  /// data drains. Used for orderly connection teardown.
   void shutdown_write();
 
   /// Close both directions without closing the fd owner relationship;
-  /// unblocks a peer (or our own thread) parked in read_exact.
+  /// unblocks a peer (or our own thread) parked in a read.
   void shutdown_both();
 
   void close();

@@ -19,7 +19,7 @@ enum class Status : std::uint16_t {
   kBadRequest = 3,  ///< malformed request (e.g. wrong feature count)
   kNotFound = 4,    ///< v2 routing: no registry entry under the requested model name
   kOverloaded = 5,  ///< rejected by admission control (conn / in-flight cap, rate limit)
-  kDeadlineExceeded = 6,  ///< shed: the v3 deadline budget expired while queued
+  kDeadlineExceeded = 6,  ///< shed: the v4 deadline budget expired while queued
   /// Client-side only: the caller's receive timeout elapsed before any
   /// response arrived. Never sent by a server, so it has no wire presence —
   /// the value is reserved here so a Reply can carry it unambiguously.

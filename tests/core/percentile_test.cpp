@@ -1,6 +1,6 @@
 // Edge-case pinning for the one nearest-rank percentile definition shared by
 // serve::BatcherStats and every bench JSON. The p99.9 cases on small N
-// matter most: the loadgen reports p99.9 over windows that can be tiny right
+// matter most: perfbench reports p99.9 over windows that can be tiny right
 // after startup, and nearest-rank must degrade to "the max" — never read out
 // of bounds, never interpolate.
 

@@ -3,7 +3,11 @@
 // tiny reads/writes, latency spikes, connections reset mid-frame, connects
 // refused — plus the resilience layer built for exactly that weather:
 // ResilientClient retries, Client receive timeouts, per-connection rate
-// limiting and protocol-v3 deadline shedding.
+// limiting and protocol-v4 deadline shedding.
+//
+// The injector is spliced on the dialing side of each connection. Its relay
+// forwards bytes unchanged in both directions, so the server's poll loop
+// sees the same sliced, delayed and reset stream the client does.
 //
 // The invariants every seed must uphold:
 //   * no lost or duplicated response ids — every id a client still holds a
@@ -38,6 +42,7 @@
 #include "runtime/session.hpp"
 #include "serve/resilient_client.hpp"
 #include "serve/server.hpp"
+#include "serve/wait.hpp"
 
 namespace dp::serve {
 namespace {
@@ -131,9 +136,9 @@ TEST(Chaos, SlicedAndDelayedClientTransportIsLossless) {
 }
 
 TEST(Chaos, ServerSideInjectionIsLossless) {
-  // The same invariant with the relay spliced on the SERVER side of every
-  // accepted connection (ServerOptions::chaos), driving the poll loop's own
-  // short-read/short-write handling.
+  // The same invariant aimed at the server's side of the relay: two
+  // pipelining connections drive the poll loop's own short-read/short-write
+  // handling, and the server must stop cleanly with the relays still alive.
   const auto model = small_model();
   const std::size_t dim = model->input_dim();
   const std::vector<double> xs = random_rows(8, dim, 23);
@@ -144,12 +149,11 @@ TEST(Chaos, ServerSideInjectionIsLossless) {
     profile.max_slice = 5;
     profile.delay_probability = 0.02;
     profile.max_delay = 300us;
-    ServerOptions opts = chaos_server_options();
-    opts.chaos = std::make_shared<FaultInjector>(profile);
-    Server server(model, opts);
+    FaultInjector injector(profile);
+    Server server(model, chaos_server_options());
 
-    Client a = server.connect();
-    Client b = connect_tcp(server.tcp_port(), model);
+    Client a(model, injector.connect(server.tcp_port()), "");
+    Client b(model, injector.connect(server.tcp_port()), "");
     for (Client* client : {&a, &b}) {
       std::vector<std::uint64_t> ids;
       for (std::size_t i = 0; i < 8; ++i) ids.push_back(client->send(row(xs, dim, i)));
@@ -277,13 +281,14 @@ TEST(Chaos, HotSwapUnderActiveFaultInjection) {
     fast.max_batch = 4;
     fast.max_wait = 200us;
     registry.load("m", model_a, fast);
-    ServerOptions opts = chaos_server_options();
+    Server server(registry, chaos_server_options());
+
+    // Two relays in series: a slicing one next to the server, and a
+    // slicing, resetting one next to the client.
     FaultProfile server_profile;
     server_profile.seed = seed ^ 0xABCDull;
     server_profile.max_slice = 7;
-    opts.chaos = std::make_shared<FaultInjector>(server_profile);
-    Server server(registry, opts);
-
+    FaultInjector near_server(server_profile);
     FaultProfile profile;
     profile.seed = seed;
     profile.max_slice = 9;
@@ -299,7 +304,7 @@ TEST(Chaos, HotSwapUnderActiveFaultInjection) {
     std::thread hammer([&] {
       while (!done.load()) {
         try {
-          Client client(model_a, injector.connect(server.tcp_port()), "m");
+          Client client(model_a, injector.wrap(near_server.connect(server.tcp_port())), "m");
           for (int k = 0; k < 4 && !done.load(); ++k) {
             const Reply reply = client.receive(client.send(row(xs, dim, 0)));
             if (reply.status != Status::kOk) continue;  // shutdown race at the end
@@ -329,21 +334,20 @@ TEST(Chaos, StopDrainsPromptlyUnderActiveFaultInjection) {
   const std::vector<double> xs = random_rows(2, dim, 43);
 
   for (const std::uint64_t seed : kSeeds) {
-    ServerOptions opts = chaos_server_options();
-    FaultProfile server_profile;
-    server_profile.seed = seed;
-    server_profile.max_slice = 6;
-    server_profile.delay_probability = 0.05;
-    server_profile.max_delay = 400us;
-    opts.chaos = std::make_shared<FaultInjector>(server_profile);
-    auto server = std::make_unique<Server>(model, opts);
+    FaultProfile profile;
+    profile.seed = seed;
+    profile.max_slice = 6;
+    profile.delay_probability = 0.05;
+    profile.max_delay = 400us;
+    FaultInjector injector(profile);
+    auto server = std::make_unique<Server>(model, chaos_server_options());
 
     // Traffic in flight while stop() lands.
     std::atomic<bool> done{false};
     std::thread hammer([&] {
       while (!done.load()) {
         try {
-          Client client = connect_tcp(server->tcp_port(), model);
+          Client client(model, injector.connect(server->tcp_port()), "");
           for (int k = 0; k < 8; ++k) {
             const Reply reply = client.receive(client.send(row(xs, dim, 0)));
             // During the drain the server answers kShutdown; both are fine.
@@ -358,12 +362,13 @@ TEST(Chaos, StopDrainsPromptlyUnderActiveFaultInjection) {
         }
       }
     });
-    std::this_thread::sleep_for(10ms);
+    const bool traffic = wait_until([&] { return server->stats().frames_in > 0; });
     const auto t0 = std::chrono::steady_clock::now();
     server->stop();
     const auto stop_took = std::chrono::steady_clock::now() - t0;
     done.store(true);
     hammer.join();
+    ASSERT_TRUE(traffic) << "seed " << seed << ": no request reached the server";
     // "Promptly": well under the write-stall fallback, faults notwithstanding.
     EXPECT_LT(stop_took, 3s) << "seed " << seed;
     const ServerStats stats = server->stats();
@@ -458,7 +463,7 @@ TEST(Resilience, RateLimitAnswersOverloadedWithoutTouchingABatcher) {
 }
 
 TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
-  // A deliberately slow single-dispatcher server: a burst of v3 requests
+  // A deliberately slow single-dispatcher server: a burst of v4 requests
   // with a small budget must come back as a few kOk (served within budget)
   // and the rest kDeadlineExceeded (shed while queued) — and the sheds must
   // be visible in stats and on the metrics page.
@@ -498,7 +503,7 @@ TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
   const std::string page = server.metrics_text();
   EXPECT_NE(page.find("dp_model_deadline_exceeded"), std::string::npos);
 
-  // A zero budget means "no deadline": same request, v3 framing, never shed.
+  // A zero budget means "no deadline": same request, v1 framing, never shed.
   const Reply relaxed = client.receive(client.send(row(xs, dim, 0), 0));
   EXPECT_EQ(relaxed.status, Status::kOk);
 }

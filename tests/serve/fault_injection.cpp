@@ -53,7 +53,6 @@ FdStream FaultInjector::wrap(FdStream inner) {
     // connections, derived only from the profile seed: a failing seed
     // replays the exact same fault schedule.
     base = profile_.seed * 0x9E3779B97F4A7C15ull + (++next_conn_) * 2;
-    ++counters_.wrapped;
     relays_.push_back(std::move(relay));
   }
   r->c2i = std::thread([this, r, base] { pump(*r, true, base); });
@@ -71,19 +70,10 @@ FdStream FaultInjector::connect(std::uint16_t port) {
     std::mt19937_64 rng(profile_.seed * 0x9E3779B97F4A7C15ull + attempt * 2 + 1);
     std::uniform_real_distribution<double> coin(0.0, 1.0);
     if (coin(rng) < profile_.drop_connect_probability) {
-      {
-        std::lock_guard<std::mutex> lk(m_);
-        ++counters_.dropped_connects;
-      }
       throw TransportError("fault injection: connect dropped");
     }
   }
   return wrap(tcp_connect(port));
-}
-
-FaultInjector::Counters FaultInjector::counters() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return counters_;
 }
 
 void FaultInjector::pump(Relay& relay, bool client_to_inner, std::uint64_t rng_seed) {
@@ -112,18 +102,10 @@ void FaultInjector::pump(Relay& relay, bool client_to_inner, std::uint64_t rng_s
     }
     if (n < 0) continue;  // spurious wakeup on a blocking fd; retry
     if (profile_.reset_probability > 0 && coin(rng) < profile_.reset_probability) {
-      {
-        std::lock_guard<std::mutex> lk(m_);
-        ++counters_.resets;
-      }
       break;  // drop these bytes on the floor and kill the connection
     }
     if (profile_.delay_probability > 0 && coin(rng) < profile_.delay_probability &&
         profile_.max_delay.count() > 0) {
-      {
-        std::lock_guard<std::mutex> lk(m_);
-        ++counters_.delays;
-      }
       std::uniform_int_distribution<long long> d(1, profile_.max_delay.count());
       std::this_thread::sleep_for(std::chrono::microseconds(d(rng)));
     }
@@ -137,20 +119,6 @@ void FaultInjector::pump(Relay& relay, bool client_to_inner, std::uint64_t rng_s
   // exactly like a RST — shutdown() only, never close (see Relay).
   relay.outer.shutdown_both();
   relay.inner.shutdown_both();
-}
-
-FaultInjectingTransport::FaultInjectingTransport(std::unique_ptr<Transport> inner,
-                                                 std::shared_ptr<FaultInjector> injector)
-    : inner_(std::move(inner)), injector_(std::move(injector)) {
-  if (!inner_ || !injector_) {
-    throw std::invalid_argument("serve::FaultInjectingTransport: null inner/injector");
-  }
-}
-
-FdStream FaultInjectingTransport::accept() {
-  FdStream stream = inner_->accept();
-  if (!stream.valid()) return stream;
-  return injector_->wrap(std::move(stream));
 }
 
 }  // namespace dp::serve

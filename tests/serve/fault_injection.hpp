@@ -1,7 +1,6 @@
 #pragma once
 // serve::FaultInjector — deterministic, seeded fault injection for byte
-// streams, the chaos harness behind tests/serve/chaos_test.cpp and
-// bench_loadgen --chaos.
+// streams, the test-only chaos harness behind tests/serve/chaos_test.cpp.
 //
 // FdStream is a concrete fd wrapper, so faults are injected by PROXY rather
 // than by subclassing: wrap(inner) splices a socketpair relay between the
@@ -18,12 +17,14 @@
 // and refused connections (connect() with drop_connect_probability). What it
 // must never observe: reordered, duplicated or corrupted bytes — the relay
 // forwards verbatim, so a server bug surfaced under chaos is a real bug, not
-// an artifact of the harness.
+// an artifact of the harness. Because the relay is symmetric, splicing it on
+// the dialing side exposes the server's poll loop to the same sliced,
+// delayed and reset byte stream as the client.
 //
 // Determinism: every per-connection RNG is seeded from FaultProfile::seed
 // and a connection counter, never from time or global state, so a failing
-// seed replays exactly. Thread-safety: wrap()/connect()/counters() are safe
-// from any thread; the destructor severs every relay and joins its threads.
+// seed replays exactly. Thread-safety: wrap()/connect() are safe from any
+// thread; the destructor severs every relay and joins its threads.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,8 +67,6 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  const FaultProfile& profile() const { return profile_; }
-
   /// Splice a relay in front of `inner` and return the caller's new end.
   /// The relay owns `inner` from here on.
   FdStream wrap(FdStream inner);
@@ -76,40 +75,14 @@ class FaultInjector {
   /// (drop_connect_probability), otherwise returns wrap() of the connection.
   FdStream connect(std::uint16_t port);
 
-  /// Totals since construction (for test assertions and the loadgen JSON).
-  struct Counters {
-    std::uint64_t wrapped = 0;          ///< relays spliced in
-    std::uint64_t delays = 0;           ///< sleeps injected
-    std::uint64_t resets = 0;           ///< connections reset mid-stream
-    std::uint64_t dropped_connects = 0; ///< connect() attempts refused
-  };
-  Counters counters() const;
-
  private:
   struct Relay;
   void pump(Relay& relay, bool client_to_inner, std::uint64_t rng_seed);
 
   const FaultProfile profile_;
-  mutable std::mutex m_;
+  std::mutex m_;
   std::uint64_t next_conn_ = 0;  // per-connection seed offset
-  Counters counters_;
   std::vector<std::unique_ptr<Relay>> relays_;
-};
-
-/// Transport decorator: accept() from `inner`, every yielded connection
-/// wrapped by `injector`. Lets a test hand a chaos-wrapped accept path to
-/// anything that consumes the Transport interface.
-class FaultInjectingTransport : public Transport {
- public:
-  FaultInjectingTransport(std::unique_ptr<Transport> inner,
-                          std::shared_ptr<FaultInjector> injector);
-
-  int readiness_fd() const override { return inner_->readiness_fd(); }
-  FdStream accept() override;
-
- private:
-  std::unique_ptr<Transport> inner_;
-  std::shared_ptr<FaultInjector> injector_;
 };
 
 }  // namespace dp::serve

@@ -1,22 +1,40 @@
 // Wire-protocol contract tests: encode/decode round trips for every frame
-// version (v1 single-model, v2 with the model-name routing block, v3 with
-// the deadline-budget field, v4 with the payload-encoding byte), every
-// decode validation rule (magic, version, type, length bounds/alignment,
-// name bound, encoding bound, CRC), the published CRC-32 test vector, the
-// incremental try_extract used by the server's event loop, and framed
-// blocking I/O over the in-process socketpair transport (multiple frames,
-// clean EOF, mid-frame death).
+// version (v1 single-model, v2 with the model-name routing block, v4 with
+// the deadline budget and payload-encoding byte), every decode validation
+// rule (magic, version — the retired v3 included — type, length
+// bounds/alignment, name bound, encoding bound, CRC), the published CRC-32
+// test vector, the incremental try_extract used by the server's event loop,
+// the frame version Client::send picks, and framed I/O through
+// Client::receive_frame over the in-process socketpair transport (multiple
+// frames, clean EOF, mid-frame death).
 
 #include "serve/protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "nn/mlp.hpp"
+#include "nn/quantize.hpp"
+#include "numeric/format.hpp"
+#include "serve/server.hpp"
+
 namespace dp::serve {
 namespace {
+
+/// The model a framing-only Client is built around: receive_frame never
+/// decodes a payload, and send quantizes into its input format.
+std::shared_ptr<const runtime::Model> small_model() {
+  static const std::shared_ptr<const runtime::Model> model = runtime::Model::create(
+      nn::quantize(nn::Mlp({6, 16, 8, 3}, /*seed=*/42), num::Format{num::PositFormat{8, 0}}));
+  return model;
+}
+
+/// A Client reading the far end of a socketpair: the framed reader under test.
+Client frame_reader(FdStream stream) { return Client(small_model(), std::move(stream), ""); }
 
 Frame sample_request() {
   Frame f;
@@ -34,16 +52,10 @@ Frame sample_v2_request() {
   return f;
 }
 
-Frame sample_v3_request() {
-  Frame f = sample_v2_request();
-  f.version = kProtocolV3;
-  f.deadline_us = 0x0102030405060708ull;
-  return f;
-}
-
 Frame sample_v4_request() {
-  Frame f = sample_v3_request();
+  Frame f = sample_v2_request();
   f.version = kProtocolV4;
+  f.deadline_us = 0x0102030405060708ull;
   f.payload_encoding = kPayloadEncodingCodec;
   return f;
 }
@@ -127,6 +139,21 @@ TEST(ServeProtocol, DecodeRejectsBadMagicVersionTypeAndLengths) {
     refresh_crc(bad);
     EXPECT_THROW(decode(bad), ProtocolError);
   }
+  {  // the retired v3 layout (v4 without the encoding byte) is rejected by
+     // both readers
+    Frame v4 = sample_v4_request();
+    v4.payload_encoding = kPayloadEncodingRaw;
+    std::vector<std::uint8_t> v3 = encode(v4);
+    v3.erase(v3.begin() + kHeaderBytes + kDeadlineBytes);
+    v3[4] = 3;
+    refresh_crc(v3);
+    EXPECT_THROW(decode(v3), ProtocolError);
+    std::size_t consumed = 0;
+    EXPECT_THROW(try_extract(v3, consumed), ProtocolError);
+    Frame f = sample_v2_request();
+    f.version = 3;
+    EXPECT_THROW(encode(f), ProtocolError);
+  }
   {  // unknown frame type
     std::vector<std::uint8_t> bad = encode(req);
     bad[5] = 9;
@@ -205,46 +232,23 @@ TEST(ServeProtocol, EncodeRejectsIllegalVersionNameCombinations) {
 }
 
 TEST(ServeProtocol, V3EncodeDecodeRoundTripsDeadlineBudget) {
-  const Frame req = sample_v3_request();
+  // A deadline travels in a v4 frame with the raw encoding.
+  Frame req = sample_v4_request();
+  req.payload_encoding = kPayloadEncodingRaw;
   EXPECT_EQ(decode(encode(req)), req);
 
-  // Zero budget ("no deadline") and empty name are both legal in v3.
+  // Zero budget ("no deadline") and empty name are both legal.
   Frame bare = req;
   bare.deadline_us = 0;
   bare.model.clear();
   EXPECT_EQ(decode(encode(bare)), bare);
 }
 
-TEST(ServeProtocol, V3FrameLayoutMatchesSpec) {
-  // Pin the v3 byte-level layout documented in docs/serving.md: identical to
-  // v1 through offset 19, then the 8-byte deadline budget (u64 LE), then the
-  // v2-style name block, then the payload, CRC last.
-  const Frame req = sample_v3_request();
-  const std::vector<std::uint8_t> bytes = encode(req);
-  const std::size_t name_len = req.model.size();
-  ASSERT_EQ(bytes.size(), kHeaderBytes + kDeadlineBytes + 1 + name_len +
-                              req.payload.size() * 4 + kTrailerBytes);
-  EXPECT_EQ(bytes[0], 'D');
-  EXPECT_EQ(bytes[4], kProtocolV3);
-  EXPECT_EQ(bytes[5], static_cast<std::uint8_t>(FrameType::kRequest));
-  EXPECT_EQ(bytes[16], 20);    // payload length counts payload only
-  EXPECT_EQ(bytes[20], 0x08);  // deadline budget, little-endian u64
-  EXPECT_EQ(bytes[27], 0x01);
-  EXPECT_EQ(bytes[28], name_len);
-  EXPECT_EQ(bytes[29], 'i');  // "iris-posit8"
-  EXPECT_EQ(bytes[29 + name_len - 1], '8');
-  EXPECT_EQ(bytes[29 + name_len], 0x00);  // first payload pattern
-  EXPECT_EQ(bytes[29 + name_len + 4], 0x7f);
-  // CRC covers everything before it, deadline and name blocks included.
-  const std::uint32_t want = crc32(std::span(bytes).first(bytes.size() - 4));
-  EXPECT_EQ(bytes[bytes.size() - 4], want & 0xff);
-}
-
 TEST(ServeProtocol, V1AndV2EncodingsArePinnedUnchangedByV3) {
-  // The resilience work added v3 WITHOUT touching the older layouts: a
-  // deadline-free v1/v2 frame must encode to exactly the bytes it always
-  // did (no deadline field sneaking in), and a nonzero budget on them is an
-  // encode-time error, not a silent format drift.
+  // Deadlines were added WITHOUT touching the older layouts: a deadline-free
+  // v1/v2 frame must encode to exactly the bytes it always did (no deadline
+  // field sneaking in), and a nonzero budget on them is an encode-time
+  // error, not a silent format drift.
   const std::vector<std::uint8_t> v1 = encode(sample_request());
   EXPECT_EQ(v1.size(), kHeaderBytes + 5 * 4 + kTrailerBytes);
   EXPECT_EQ(v1[4], kProtocolV1);
@@ -267,10 +271,21 @@ TEST(ServeProtocol, V1AndV2EncodingsArePinnedUnchangedByV3) {
 }
 
 TEST(ServeProtocol, DecodeRejectsMalformedV3Frames) {
-  const std::vector<std::uint8_t> good = encode(sample_v3_request());
+  // Deadline-carrying (v4) frames, cut and corrupted around the budget.
+  Frame deadline_frame = sample_v4_request();
+  deadline_frame.payload_encoding = kPayloadEncodingRaw;
+  const std::vector<std::uint8_t> good = encode(deadline_frame);
   {  // truncated to the fixed header: deadline + name blocks missing
     EXPECT_THROW(decode(std::span(good).first(kHeaderBytes + kTrailerBytes)),
                  ProtocolError);
+  }
+  for (std::size_t cut = 1; cut < kDeadlineBytes; ++cut) {
+    // truncated inside the deadline field: no verdict from try_extract (more
+    // bytes may come), a ProtocolError from decode
+    const std::span<const std::uint8_t> head = std::span(good).first(kHeaderBytes + cut);
+    std::size_t consumed = 0;
+    EXPECT_EQ(try_extract(head, consumed), std::nullopt) << "cut " << cut;
+    EXPECT_THROW(decode(head), ProtocolError) << "cut " << cut;
   }
   {  // truncated mid-payload: total length disagrees with the length fields
     EXPECT_THROW(decode(std::span(good).first(good.size() - 3)), ProtocolError);
@@ -282,7 +297,7 @@ TEST(ServeProtocol, DecodeRejectsMalformedV3Frames) {
   }
   {  // oversize name length byte rejected before the CRC
     std::vector<std::uint8_t> bad = good;
-    bad[kHeaderBytes + kDeadlineBytes] = kMaxModelNameBytes + 1;
+    bad[kHeaderBytes + kDeadlineBytes + 1] = kMaxModelNameBytes + 1;
     refresh_crc(bad);
     EXPECT_THROW(decode(bad), ProtocolError);
   }
@@ -330,8 +345,8 @@ TEST(ServeProtocol, V4EncodeDecodeRoundTripsPayloadEncoding) {
 
 TEST(ServeProtocol, V4FrameLayoutMatchesSpec) {
   // Pin the v4 byte-level layout documented in docs/serving.md: identical to
-  // v3 through offset 27, then the payload-encoding byte, then the name
-  // block, then the payload, CRC last.
+  // v1 through offset 19, then the 8-byte deadline budget (u64 LE), then the
+  // payload-encoding byte, then the name block, then the payload, CRC last.
   const Frame req = sample_v4_request();
   const std::vector<std::uint8_t> bytes = encode(req);
   const std::size_t name_len = req.model.size();
@@ -341,38 +356,33 @@ TEST(ServeProtocol, V4FrameLayoutMatchesSpec) {
   EXPECT_EQ(bytes[4], kProtocolV4);
   EXPECT_EQ(bytes[5], static_cast<std::uint8_t>(FrameType::kRequest));
   EXPECT_EQ(bytes[16], 20);    // payload length counts payload only
-  EXPECT_EQ(bytes[20], 0x08);  // deadline budget, little-endian u64 (as v3)
+  EXPECT_EQ(bytes[20], 0x08);  // deadline budget, little-endian u64
   EXPECT_EQ(bytes[27], 0x01);
-  EXPECT_EQ(bytes[28], kPayloadEncodingCodec);  // the new byte
+  EXPECT_EQ(bytes[28], kPayloadEncodingCodec);
   EXPECT_EQ(bytes[29], name_len);
   EXPECT_EQ(bytes[30], 'i');  // "iris-posit8"
   EXPECT_EQ(bytes[30 + name_len - 1], '8');
   EXPECT_EQ(bytes[30 + name_len], 0x00);  // first payload pattern
   EXPECT_EQ(bytes[30 + name_len + 4], 0x7f);
-  // CRC covers everything before it, the encoding byte included.
+  // CRC covers everything before it, deadline and encoding bytes included.
   const std::uint32_t want = crc32(std::span(bytes).first(bytes.size() - 4));
   EXPECT_EQ(bytes[bytes.size() - 4], want & 0xff);
 }
 
 TEST(ServeProtocol, V1ToV3EncodingsArePinnedUnchangedByV4) {
-  // v4 landed WITHOUT touching the older layouts: v1/v2/v3 frames must
-  // encode to exactly the sizes (and field positions) they always had — no
-  // encoding byte sneaking in — and a nonzero payload_encoding on them is an
+  // v4 landed WITHOUT touching the older layouts: v1/v2 frames must encode
+  // to exactly the sizes (and field positions) they always had — no encoding
+  // byte sneaking in — and a nonzero payload_encoding on them is an
   // encode-time error, not a silent format drift.
   const std::vector<std::uint8_t> v1 = encode(sample_request());
   EXPECT_EQ(v1.size(), kHeaderBytes + 5 * 4 + kTrailerBytes);
 
   const Frame v2f = sample_v2_request();
-  EXPECT_EQ(encode(v2f).size(),
-            kHeaderBytes + 1 + v2f.model.size() + 5 * 4 + kTrailerBytes);
+  const std::vector<std::uint8_t> v2 = encode(v2f);
+  EXPECT_EQ(v2.size(), kHeaderBytes + 1 + v2f.model.size() + 5 * 4 + kTrailerBytes);
+  EXPECT_EQ(v2[kHeaderBytes], v2f.model.size());  // name len, not encoding
 
-  const Frame v3f = sample_v3_request();
-  const std::vector<std::uint8_t> v3 = encode(v3f);
-  EXPECT_EQ(v3.size(), kHeaderBytes + kDeadlineBytes + 1 + v3f.model.size() + 5 * 4 +
-                           kTrailerBytes);
-  EXPECT_EQ(v3[kHeaderBytes + kDeadlineBytes], v3f.model.size());  // name len, not encoding
-
-  for (Frame bad : {sample_request(), sample_v2_request(), sample_v3_request()}) {
+  for (Frame bad : {sample_request(), sample_v2_request()}) {
     bad.payload_encoding = kPayloadEncodingCodec;
     EXPECT_THROW(encode(bad), ProtocolError) << "version " << int(bad.version);
   }
@@ -436,6 +446,57 @@ TEST(ServeProtocol, TryExtractFailsFastOnGarbageWithoutWaitingForLength) {
   EXPECT_THROW(try_extract(bad, consumed), ProtocolError);
 }
 
+TEST(ServeProtocol, ClientSendPicksTheSmallestFrameThatCarriesTheRequest) {
+  // v1 for the default entry, v2 for a named one, and v4 with the raw
+  // encoding as soon as a deadline rides along (v4 with the codec encoding
+  // when compressing).
+  const std::vector<double> x(small_model()->input_dim(), 0.5);
+  auto [a, b] = local_stream_pair();
+  auto [c, d] = local_stream_pair();
+  Client plain = frame_reader(std::move(a));
+  Client named(small_model(), std::move(c), "m");
+  Client reader = frame_reader(std::move(b));
+  Client named_reader = frame_reader(std::move(d));
+
+  plain.send(x);
+  std::optional<Frame> f = reader.receive_frame();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->version, kProtocolV1);
+
+  plain.send(x, /*deadline_budget_us=*/500);
+  f = reader.receive_frame();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->version, kProtocolV4);
+  EXPECT_EQ(f->payload_encoding, kPayloadEncodingRaw);
+  EXPECT_EQ(f->deadline_us, 500u);
+  EXPECT_TRUE(f->model.empty());
+  EXPECT_EQ(f->payload.size(), x.size());
+
+  named.send(x);
+  f = named_reader.receive_frame();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->version, kProtocolV2);
+  EXPECT_EQ(f->model, "m");
+
+  named.send(x, /*deadline_budget_us=*/700);
+  f = named_reader.receive_frame();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->version, kProtocolV4);
+  EXPECT_EQ(f->payload_encoding, kPayloadEncodingRaw);
+  EXPECT_EQ(f->deadline_us, 700u);
+  EXPECT_EQ(f->model, "m");
+
+  ClientOptions compress;
+  compress.compress = true;
+  plain.set_options(compress);
+  plain.send(x);
+  f = reader.receive_frame();
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->version, kProtocolV4);
+  EXPECT_EQ(f->payload_encoding, kPayloadEncodingCodec);
+  EXPECT_EQ(f->deadline_us, 0u);
+}
+
 TEST(ServeProtocol, ReadFrameSpeaksBothVersionsOverTheWire) {
   auto [a, b] = local_stream_pair();
   const Frame v1 = sample_request();
@@ -443,9 +504,10 @@ TEST(ServeProtocol, ReadFrameSpeaksBothVersionsOverTheWire) {
   write_frame(a, v1);
   write_frame(a, v2);
   a.shutdown_write();
-  EXPECT_EQ(read_frame(b), v1);
-  EXPECT_EQ(read_frame(b), v2);
-  EXPECT_EQ(read_frame(b), std::nullopt);
+  Client reader = frame_reader(std::move(b));
+  EXPECT_EQ(reader.receive_frame(), v1);
+  EXPECT_EQ(reader.receive_frame(), v2);
+  EXPECT_EQ(reader.receive_frame(), std::nullopt);
 }
 
 TEST(ServeProtocol, FramedIoOverLocalPairDeliversInOrderThenCleanEof) {
@@ -461,9 +523,10 @@ TEST(ServeProtocol, FramedIoOverLocalPairDeliversInOrderThenCleanEof) {
   write_frame(a, second);
   a.shutdown_write();
 
-  EXPECT_EQ(read_frame(b), first);
-  EXPECT_EQ(read_frame(b), second);
-  EXPECT_EQ(read_frame(b), std::nullopt);  // clean EOF on a frame boundary
+  Client reader = frame_reader(std::move(b));
+  EXPECT_EQ(reader.receive_frame(), first);
+  EXPECT_EQ(reader.receive_frame(), second);
+  EXPECT_EQ(reader.receive_frame(), std::nullopt);  // clean EOF on a frame boundary
 }
 
 TEST(ServeProtocol, StreamDyingMidFrameIsATransportError) {
@@ -471,14 +534,16 @@ TEST(ServeProtocol, StreamDyingMidFrameIsATransportError) {
   const std::vector<std::uint8_t> bytes = encode(sample_request());
   a.write_all(bytes.data(), 10);  // half a header, then the peer vanishes
   a.close();
-  EXPECT_THROW(read_frame(b), TransportError);
+  Client reader = frame_reader(std::move(b));
+  EXPECT_THROW(reader.receive_frame(), TransportError);
 }
 
 TEST(ServeProtocol, GarbageBytesAreAProtocolError) {
   auto [a, b] = local_stream_pair();
   std::vector<std::uint8_t> garbage(64, 0xA5);
   a.write_all(garbage.data(), garbage.size());
-  EXPECT_THROW(read_frame(b), ProtocolError);
+  Client reader = frame_reader(std::move(b));
+  EXPECT_THROW(reader.receive_frame(), ProtocolError);
 }
 
 TEST(ServeProtocol, LargePayloadRoundTripsThroughTheSocketBuffer) {
@@ -493,7 +558,8 @@ TEST(ServeProtocol, LargePayloadRoundTripsThroughTheSocketBuffer) {
   }
   auto [a, b] = local_stream_pair();
   std::thread writer([&] { write_frame(a, big); });
-  const std::optional<Frame> got = read_frame(b);
+  Client reader = frame_reader(std::move(b));
+  const std::optional<Frame> got = reader.receive_frame();
   writer.join();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, big);

@@ -20,6 +20,7 @@
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
 #include "serve/protocol.hpp"
+#include "serve/wait.hpp"
 
 namespace dp::serve {
 namespace {
@@ -277,10 +278,12 @@ TEST(ServeRegistry, RepeatedHotSwapUnderConcurrentSubmittersDropsNothing) {
   }
   // Let some traffic land after the last swap too.
   const std::uint64_t after_last_swap = served.load();
-  while (served.load() < after_last_swap + 50) std::this_thread::sleep_for(100us);
+  const bool served_after_swaps =
+      wait_until([&] { return served.load() >= after_last_swap + 50; });
   stop.store(true);
   for (std::thread& t : threads) t.join();
 
+  ASSERT_TRUE(served_after_swaps) << "traffic stalled after the last swap";
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_GT(served.load(), 0u);
   EXPECT_EQ(registry.counters().swaps, 25u);

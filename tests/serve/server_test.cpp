@@ -20,6 +20,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/wait.hpp"
 
 namespace dp::serve {
 namespace {
@@ -34,20 +35,6 @@ std::vector<double> random_rows(std::size_t rows, std::size_t dim, std::uint32_t
   std::vector<double> xs(rows * dim);
   for (double& v : xs) v = u(rng);
   return xs;
-}
-
-/// Poll the server's counters until `done` holds or `timeout` passes, and
-/// return the last snapshot. Waits are bounded by time, never by a count.
-template <typename Pred>
-ServerStats wait_for_stats(const Server& server, Pred done,
-                           std::chrono::milliseconds timeout = 10s) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  ServerStats stats = server.stats();
-  while (!done(stats) && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-    stats = server.stats();
-  }
-  return stats;
 }
 
 // The acceptance test: across the whole paper format grid, a sample that

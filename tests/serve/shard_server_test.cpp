@@ -24,6 +24,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/wait.hpp"
 
 namespace dp::serve {
 namespace {
@@ -212,10 +213,11 @@ TEST(ShardServer, HotSwapUnderCrossShardInFlightTrafficDropsNothing) {
     std::this_thread::sleep_for(1ms);
   }
   const std::uint64_t mark = served.load();
-  while (served.load() < mark + 30) std::this_thread::sleep_for(100us);
+  const bool served_after_swaps = wait_until([&] { return served.load() >= mark + 30; });
   stop.store(true);
   for (std::thread& t : clients) t.join();
 
+  ASSERT_TRUE(served_after_swaps) << "traffic stalled after the last swap";
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_GT(served.load(), 0u);
   EXPECT_EQ(registry.counters().swaps, 20u);
@@ -406,13 +408,13 @@ TEST(ShardServer, SideMetricsListenerServesPlaintextAndCloses) {
   Client client = server.connect();
   ASSERT_EQ(client.forward_bits(std::span<const double>(xs)).status, Status::kOk);
 
-  // A scrape is: connect, read to EOF. No framing, no request bytes. The
-  // page is a few KB; byte-at-a-time read_exact is the simplest EOF-clean
-  // blocking read the transport offers.
+  // A scrape is: connect, read to EOF. No framing, no request bytes.
   FdStream scrape = tcp_connect(server.metrics_port());
   std::string text;
-  char c = 0;
-  while (scrape.read_exact(&c, 1)) text.push_back(c);
+  char buf[1024];
+  for (ssize_t n; (n = scrape.read_some(buf, sizeof(buf))) > 0;) {
+    text.append(buf, static_cast<std::size_t>(n));
+  }
 
   ASSERT_EQ(text.rfind("# dp_serve metrics v1\n", 0), 0u);
   const std::map<std::string, double> m = parse_metrics(text);

@@ -20,6 +20,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/wait.hpp"
 
 namespace dp::serve {
 namespace {
@@ -193,10 +194,11 @@ TEST(ServeTcp, HotSwapUnderConcurrentInFlightRequestsDropsNothing) {
     std::this_thread::sleep_for(1ms);
   }
   const std::uint64_t mark = served.load();
-  while (served.load() < mark + 30) std::this_thread::sleep_for(100us);
+  const bool served_after_swaps = wait_until([&] { return served.load() >= mark + 30; });
   stop.store(true);
   for (std::thread& t : clients) t.join();
 
+  ASSERT_TRUE(served_after_swaps) << "traffic stalled after the last swap";
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_GT(served.load(), 0u);
   EXPECT_EQ(registry.counters().swaps, 20u);
@@ -279,11 +281,8 @@ TEST(ServeTcp, CorruptFrameOverTcpDropsThatConnectionOnly) {
   bad.send_bytes(garbage);
   EXPECT_EQ(bad.receive_frame(), std::nullopt);  // dropped
 
-  ServerStats stats = server.stats();
-  for (int i = 0; i < 100 && stats.bad_frames == 0; ++i) {
-    std::this_thread::sleep_for(1ms);
-    stats = server.stats();
-  }
+  const ServerStats stats =
+      wait_for_stats(server, [](const ServerStats& s) { return s.bad_frames != 0; });
   EXPECT_EQ(stats.bad_frames, 1u);
 
   Client fresh = connect_tcp(server.tcp_port(), model);
@@ -305,11 +304,8 @@ TEST(ServeTcp, StopDrainsOverTcpAndRefusesNewConnects) {
   // Over TCP the send only queues bytes in the kernel; wait until the loop
   // has read and admitted the request, or stop()'s drain would (correctly)
   // answer it kShutdown instead of serving it.
-  ServerStats st = server.stats();
-  for (int i = 0; i < 2000 && st.batcher.accepted == 0; ++i) {
-    std::this_thread::sleep_for(1ms);
-    st = server.stats();
-  }
+  const ServerStats st =
+      wait_for_stats(server, [](const ServerStats& s) { return s.batcher.accepted != 0; });
   ASSERT_EQ(st.batcher.accepted, 1u);
 
   server.stop();
