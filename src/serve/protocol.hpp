@@ -54,8 +54,8 @@
 // expires while queued is shed with kDeadlineExceeded instead of burning a
 // dispatcher slot (serve/batcher.hpp). A zero budget means "no deadline".
 //
-// Version 3 (a deadline without the encoding byte) was retired in favour of
-// v4 with encoding 0; the decoder rejects it like any unknown version.
+// Version byte 3 is unassigned: encode and decode reject it like any
+// unknown version.
 //
 // Encoding 0 means the payload words are bit patterns exactly as in v1/v2.
 // Encoding 1 means they are a codec/payload.hpp block: element count, coded
