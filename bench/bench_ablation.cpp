@@ -1,4 +1,5 @@
-// Ablations of the design choices DESIGN.md §6 calls out:
+// Ablations of the design choices listed in the bench_ablation row of
+// docs/reproducing.md#map:
 //  1. Exact (EMAC/quire) accumulation vs a naive round-every-step MAC —
 //     the paper's central premise.
 //  2. es sensitivity for 8-bit posits (paper: best at es in {0,2}).

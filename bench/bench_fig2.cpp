@@ -4,7 +4,7 @@
 // representable values cluster in [-1, 1].
 // Fig. 2(b): the weight distribution of a trained DNN clusters in the same
 // range. The paper uses AlexNet; with no ImageNet here, we histogram the
-// trained WDBC network (DESIGN.md §3 documents the substitution) — the
+// trained WDBC network (docs/reproducing.md#substitutions) — the
 // clustering phenomenon is architecture-independent.
 // Table I: regime run-length interpretation.
 

@@ -142,49 +142,14 @@ nn::Activation parse_activation(std::uint8_t b) {
   throw CodecError("dpnetz: unknown activation " + std::to_string(b));
 }
 
-/// One coded section: the chosen model id, the static table when that model
-/// won, and the coded bytes. The writer encodes BOTH ways and keeps the
-/// cheaper total (table included) — per-layer, per-section model selection
-/// with no heuristics to mistune.
-struct Section {
-  std::uint8_t model = kModelAdaptive;
-  std::vector<std::uint8_t> table;  // empty unless static
+/// One section's coded bytes under a fresh adaptive model.
+std::vector<std::uint8_t> encode_section(std::span<const std::uint32_t> patterns, int width) {
   std::vector<std::uint8_t> coded;
-};
-
-/// Above this many symbols a section takes the adaptive model outright and
-/// skips the static trial encode. On a long tape the adaptive contexts have
-/// converged after a small prefix — the rest codes at essentially the
-/// counted-table rate with no table bytes shipped — so the static trial
-/// almost never wins there, and its only real effect would be to halve
-/// encode throughput (the 50 MB/s single-thread floor in
-/// docs/compression.md). Small tapes — bias vectors, thin layers — still
-/// get both trials: there the adaptation ramp is a real fraction of the
-/// section and the counted table can pay for itself, while the double
-/// encode costs microseconds.
-constexpr std::size_t kStaticTrialMaxSymbols = 2048;
-
-Section encode_section(std::span<const std::uint32_t> patterns, int width) {
-  Section adaptive;
-  {
-    BitTreeModel model(width);
-    RangeEncoder enc(adaptive.coded);
-    for (const std::uint32_t p : patterns) model.encode(enc, p);
-    enc.finish();
-  }
-  if (patterns.size() > kStaticTrialMaxSymbols) return adaptive;
-  Section frozen;
-  frozen.model = kModelStatic;
-  const StaticBitTreeModel model(width, patterns);
-  model.serialize(frozen.table);
-  {
-    RangeEncoder enc(frozen.coded);
-    for (const std::uint32_t p : patterns) model.encode(enc, p);
-    enc.finish();
-  }
-  const std::size_t adaptive_total = adaptive.coded.size();
-  const std::size_t frozen_total = frozen.table.size() + frozen.coded.size();
-  return frozen_total < adaptive_total ? std::move(frozen) : std::move(adaptive);
+  BitTreeModel model(width);
+  RangeEncoder enc(coded);
+  for (const std::uint32_t p : patterns) model.encode(enc, p);
+  enc.finish();
+  return coded;
 }
 
 /// CRC-32 over the decoded CONTENT: the semantic fields a bit flip could
@@ -193,9 +158,9 @@ Section encode_section(std::span<const std::uint32_t> patterns, int width) {
 /// weights then bias, layer by layer. Covering the metadata matters: the
 /// patterns of a posit<8,0> network reinterpreted as fixed<8,1> — one
 /// flipped header bit — are valid bytes with an unchanged pattern tape, and
-/// only this CRC catches it. Mechanism fields (model ids, coded lengths,
-/// tables) are deliberately NOT covered: a flip there scrambles or
-/// truncates the decode, which structural checks and this CRC then reject.
+/// only this CRC catches it. Mechanism fields (model ids, coded lengths)
+/// are deliberately NOT covered: a flip there scrambles or truncates the
+/// decode, which structural checks and this CRC then reject.
 /// Incremental so neither side materializes the byte stream.
 class ContentCrc {
  public:
@@ -300,20 +265,18 @@ std::vector<std::uint8_t> encode_network(const nn::QuantizedNetwork& net) {
         layer.bias.size() != layer.fan_out) {
       throw CodecError("dpnetz: layer tape sizes disagree with its dimensions");
     }
-    const Section weights = encode_section(layer.weights, lwidth);
-    const Section bias = encode_section(layer.bias, lwidth);
+    const std::vector<std::uint8_t> weights = encode_section(layer.weights, lwidth);
+    const std::vector<std::uint8_t> bias = encode_section(layer.bias, lwidth);
     put_u32(out, static_cast<std::uint32_t>(layer.fan_out));
     put_u32(out, static_cast<std::uint32_t>(layer.fan_in));
     out.push_back(activation_byte(layer.activation));
-    out.push_back(weights.model);
-    out.push_back(bias.model);
-    out.push_back(0);  // reserved
-    out.insert(out.end(), weights.table.begin(), weights.table.end());
-    put_u32(out, static_cast<std::uint32_t>(weights.coded.size()));
-    out.insert(out.end(), weights.coded.begin(), weights.coded.end());
-    out.insert(out.end(), bias.table.begin(), bias.table.end());
-    put_u32(out, static_cast<std::uint32_t>(bias.coded.size()));
-    out.insert(out.end(), bias.coded.begin(), bias.coded.end());
+    out.push_back(kModelAdaptive);  // weights
+    out.push_back(kModelAdaptive);  // bias
+    out.push_back(0);               // reserved
+    put_u32(out, static_cast<std::uint32_t>(weights.size()));
+    out.insert(out.end(), weights.begin(), weights.end());
+    put_u32(out, static_cast<std::uint32_t>(bias.size()));
+    out.insert(out.end(), bias.begin(), bias.end());
     crc_layer(crc, layer);
     crc.add(layer.weights);
     crc.add(layer.bias);
@@ -402,29 +365,17 @@ nn::QuantizedNetwork decode_network(std::span<const std::uint8_t> bytes) {
     if (r.u8() != 0) throw CodecError("dpnetz: reserved section byte not zero");
 
     const auto decode_with = [&](std::uint8_t model_id, std::size_t count) {
-      std::vector<std::uint32_t> out(count);
-      if (model_id == kModelStatic) {
-        const std::span<const std::uint8_t> table =
-            r.bytes(context_count(lwidth) * 2);
-        const StaticBitTreeModel model(lwidth, table);
-        const std::uint32_t coded_len = r.u32();
-        const std::span<const std::uint8_t> coded = r.bytes(coded_len);
-        RangeDecoder dec(coded);
-        for (std::uint32_t& p : out) p = model.decode(dec);
-        if (dec.consumed() != coded.size()) {
-          throw CodecError("dpnetz: section coded length disagrees with its content");
-        }
-      } else if (model_id == kModelAdaptive) {
-        BitTreeModel model(lwidth);
-        const std::uint32_t coded_len = r.u32();
-        const std::span<const std::uint8_t> coded = r.bytes(coded_len);
-        RangeDecoder dec(coded);
-        for (std::uint32_t& p : out) p = model.decode(dec);
-        if (dec.consumed() != coded.size()) {
-          throw CodecError("dpnetz: section coded length disagrees with its content");
-        }
-      } else {
+      if (model_id != kModelAdaptive) {
         throw CodecError("dpnetz: unknown symbol model " + std::to_string(model_id));
+      }
+      std::vector<std::uint32_t> out(count);
+      BitTreeModel model(lwidth);
+      const std::uint32_t coded_len = r.u32();
+      const std::span<const std::uint8_t> coded = r.bytes(coded_len);
+      RangeDecoder dec(coded);
+      for (std::uint32_t& p : out) p = model.decode(dec);
+      if (dec.consumed() != coded.size()) {
+        throw CodecError("dpnetz: section coded length disagrees with its content");
       }
       return out;
     };

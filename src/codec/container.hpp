@@ -33,23 +33,16 @@
 //   +0      4     fan_out
 //   +4      4     fan_in
 //   +8      1     activation (0 identity, 1 relu)
-//   +9      1     weights symbol model (1 adaptive, 2 static)
-//   +10     1     bias symbol model (1 adaptive, 2 static)
+//   +9      1     weights symbol model, must be 1 (adaptive)
+//   +10     1     bias symbol model, must be 1 (adaptive)
 //   +11     1     reserved, 0
-//   [static weights model only] 2 * context_count(W) bytes of probability
-//                 table (symbol_model.hpp)
-//   +..     4     weights coded length, then exactly that many coded bytes
-//   [static bias model only] probability table
+//   +12     4     weights coded length, then exactly that many coded bytes
 //   +..     4     bias coded length, then exactly that many coded bytes
 //
-// Per-layer symbol models are the point: each layer's weight tape is one
-// skewed distribution over regime/fraction structure, and the writer picks
-// adaptive or static (counted + header-shipped) PER SECTION. Small sections
-// are trial-encoded both ways and the smaller wins; long sections take the
-// adaptive model outright — its contexts converge within a small prefix, so
-// the counted table almost never pays for itself there, and skipping the
-// second trial keeps artifact encode above the 50 MB/s single-thread floor
-// (the exact rule is kStaticTrialMaxSymbols in container.cpp).
+// Each section is coded with a fresh adaptive bit-tree model
+// (symbol_model.hpp): a layer's weight tape is one skewed distribution over
+// regime/fraction structure, and the model's contexts converge on it within
+// a small prefix, with no table to ship.
 //
 // The CRC is over the decoded content, not the coded bytes, so it certifies
 // the property the consumers actually need: the network that comes out —
@@ -87,9 +80,9 @@ inline constexpr std::size_t kMaxLayers = 1024;
 inline constexpr std::size_t kMaxLayerDim = 1u << 20;
 inline constexpr std::size_t kMaxLayerElements = 1u << 26;
 
-/// Section symbol-model ids (byte +9/+10 of a layer section).
+/// Section symbol-model id (byte +9/+10 of a layer section), the only one a
+/// reader accepts.
 inline constexpr std::uint8_t kModelAdaptive = 1;
-inline constexpr std::uint8_t kModelStatic = 2;
 
 /// True if `bytes` starts with the .dpnetz magic (the sniff
 /// nn::load_quantized and runtime::Model::load use to stay transparent).

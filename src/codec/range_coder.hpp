@@ -80,7 +80,7 @@ class RangeEncoder {
     model.update(bit);
   }
 
-  /// Encode one bit against a frozen probability (static symbol models).
+  /// Encode one bit against a given probability, leaving it unchanged.
   void encode_fixed(std::uint32_t prob_zero, int bit) {
     const std::uint32_t bound = (range_ >> kProbBits) * prob_zero;
     if (bit == 0) {

@@ -10,9 +10,8 @@ namespace {
 /// Shared context walk: the top `tree_bits` bits index an implicit binary
 /// tree (node 1 is the root; taking bit b moves to node 2*ctx + b, so node
 /// indices 1..2^t - 1 are the proper prefixes), and each remaining low bit
-/// uses the positional slot 2^t + (bit index past the tree). Both model
-/// variants and both coder directions walk exactly this sequence — that
-/// agreement IS the format.
+/// uses the positional slot 2^t + (bit index past the tree). Both coder
+/// directions walk exactly this sequence — that agreement IS the format.
 ///
 /// probs_ layout: index 0 is unused (the tree starts at 1); tree nodes
 /// occupy [1, 2^t); positional contexts occupy [2^t, 2^t + low_bits).
@@ -39,13 +38,9 @@ std::size_t context_count(int width) {
   return (std::size_t{1} << tree_bits) - 1 + static_cast<std::size_t>(width - tree_bits);
 }
 
-// --- adaptive ---------------------------------------------------------------
-
-BitTreeModel::BitTreeModel(int width) : width_(width) {
-  check_symbol_width(width);
-  tree_bits_ = std::min(width, kMaxTreeBits);
-  probs_.resize((std::size_t{1} << tree_bits_) + static_cast<std::size_t>(width_ - tree_bits_));
-}
+// Slot 0 is unused, so the table holds one entry more than there are contexts.
+BitTreeModel::BitTreeModel(int width)
+    : width_(width), tree_bits_(std::min(width, kMaxTreeBits)), probs_(context_count(width) + 1) {}
 
 void BitTreeModel::encode(RangeEncoder& enc, std::uint32_t symbol) {
   check_symbol(symbol, width_);
@@ -72,102 +67,6 @@ std::uint32_t BitTreeModel::decode(RangeDecoder& dec) {
   for (int i = 0; i < width_ - tree_bits_; ++i) {
     symbol = (symbol << 1) | static_cast<std::uint32_t>(
                                  dec.decode(probs_[base + static_cast<std::size_t>(i)]));
-  }
-  return symbol;
-}
-
-// --- static -----------------------------------------------------------------
-
-StaticBitTreeModel::StaticBitTreeModel(int width, std::span<const std::uint32_t> symbols)
-    : width_(width) {
-  check_symbol_width(width);
-  tree_bits_ = std::min(width, kMaxTreeBits);
-  const std::size_t slots =
-      (std::size_t{1} << tree_bits_) + static_cast<std::size_t>(width_ - tree_bits_);
-  // Count zeros/totals per context with the same walk the coder uses.
-  std::vector<std::uint32_t> zeros(slots, 0), totals(slots, 0);
-  const std::size_t base = std::size_t{1} << tree_bits_;
-  for (const std::uint32_t symbol : symbols) {
-    check_symbol(symbol, width_);
-    std::size_t ctx = 1;
-    for (int i = width_ - 1; i >= width_ - tree_bits_; --i) {
-      const int bit = static_cast<int>((symbol >> i) & 1u);
-      ++totals[ctx];
-      if (bit == 0) ++zeros[ctx];
-      ctx = ctx * 2 + static_cast<std::size_t>(bit);
-    }
-    for (int i = width_ - tree_bits_ - 1; i >= 0; --i) {
-      const std::size_t slot = base + static_cast<std::size_t>(width_ - tree_bits_ - 1 - i);
-      ++totals[slot];
-      if (((symbol >> i) & 1u) == 0) ++zeros[slot];
-    }
-  }
-  // Laplace-smoothed P(0), quantized to [1, kProbOne - 1]: a context that
-  // never fired gets 1/2, and no pattern is ever uncodable.
-  probs_.resize(slots, static_cast<std::uint16_t>(kProbInit));
-  for (std::size_t c = 1; c < slots; ++c) {
-    const std::uint64_t p =
-        (static_cast<std::uint64_t>(kProbOne) * (zeros[c] + 1)) / (totals[c] + 2);
-    probs_[c] = static_cast<std::uint16_t>(
-        std::clamp<std::uint64_t>(p, 1, kProbOne - 1));
-  }
-}
-
-StaticBitTreeModel::StaticBitTreeModel(int width, std::span<const std::uint8_t> table)
-    : width_(width) {
-  check_symbol_width(width);
-  tree_bits_ = std::min(width, kMaxTreeBits);
-  const std::size_t entries = context_count(width);
-  if (table.size() < entries * 2) {
-    throw CodecError("codec: static model table truncated");
-  }
-  const std::size_t slots =
-      (std::size_t{1} << tree_bits_) + static_cast<std::size_t>(width_ - tree_bits_);
-  probs_.resize(slots, static_cast<std::uint16_t>(kProbInit));
-  for (std::size_t c = 0; c < entries; ++c) {
-    const std::uint16_t p =
-        static_cast<std::uint16_t>(table[c * 2] | (table[c * 2 + 1] << 8));
-    if (p < 1 || p > kProbOne - 1) {
-      throw CodecError("codec: static model probability out of range");
-    }
-    probs_[1 + c] = p;  // entry 0 of the table is tree node 1 (the root)
-  }
-}
-
-void StaticBitTreeModel::serialize(std::vector<std::uint8_t>& out) const {
-  const std::size_t entries = context_count(width_);
-  for (std::size_t c = 0; c < entries; ++c) {
-    const std::uint16_t p = probs_[1 + c];
-    out.push_back(static_cast<std::uint8_t>(p & 0xff));
-    out.push_back(static_cast<std::uint8_t>(p >> 8));
-  }
-}
-
-void StaticBitTreeModel::encode(RangeEncoder& enc, std::uint32_t symbol) const {
-  check_symbol(symbol, width_);
-  std::size_t ctx = 1;
-  for (int i = width_ - 1; i >= width_ - tree_bits_; --i) {
-    const int bit = static_cast<int>((symbol >> i) & 1u);
-    enc.encode_fixed(probs_[ctx], bit);
-    ctx = ctx * 2 + static_cast<std::size_t>(bit);
-  }
-  const std::size_t base = std::size_t{1} << tree_bits_;
-  for (int i = width_ - tree_bits_ - 1; i >= 0; --i) {
-    const int bit = static_cast<int>((symbol >> i) & 1u);
-    enc.encode_fixed(probs_[base + static_cast<std::size_t>(width_ - tree_bits_ - 1 - i)], bit);
-  }
-}
-
-std::uint32_t StaticBitTreeModel::decode(RangeDecoder& dec) const {
-  std::size_t ctx = 1;
-  for (int i = 0; i < tree_bits_; ++i) {
-    ctx = ctx * 2 + static_cast<std::size_t>(dec.decode_fixed(probs_[ctx]));
-  }
-  std::uint32_t symbol = static_cast<std::uint32_t>(ctx - (std::size_t{1} << tree_bits_));
-  const std::size_t base = std::size_t{1} << tree_bits_;
-  for (int i = 0; i < width_ - tree_bits_; ++i) {
-    symbol = (symbol << 1) | static_cast<std::uint32_t>(
-                                 dec.decode_fixed(probs_[base + static_cast<std::size_t>(i)]));
   }
   return symbol;
 }

@@ -21,21 +21,13 @@
 // formats are near-uniform anyway; burning 2^31 contexts on them would buy
 // nothing and cost everything.
 //
-// Two variants share that context walk:
-//   * BitTreeModel — adaptive: probabilities start at 1/2 and adapt with the
-//     shift-5 rule on both sides. Zero header bytes; ideal for small tapes
-//     and for per-frame wire payloads (each frame restarts fresh, so frames
-//     stay independently decodable).
-//   * StaticBitTreeModel — frozen: probabilities are counted over the data
-//     in a first pass, quantized to 11 bits, and shipped in the section
-//     header (2 bytes per context). Wins on large skewed tapes where the
-//     adaptation ramp of the adaptive model is the dominant loss; the
-//     container writer simply tries both and keeps the smaller section
-//     (codec/container.cpp).
+// The model is adaptive: probabilities start at 1/2 and adapt with the
+// shift-5 rule on both sides, so a coded stream carries no table and no
+// header bytes. Every .dpnetz section and every wire payload frame starts a
+// fresh model, which keeps frames independently decodable.
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "codec/range_coder.hpp"
@@ -48,8 +40,7 @@ inline constexpr int kMaxTreeBits = 12;
 
 /// Number of probability contexts a width-`width` model carries: 2^t - 1
 /// tree contexts (one per proper prefix of the top t = min(width, 12) bits)
-/// plus one positional context per remaining low bit. This count is the
-/// static model's serialized table length, so it is format-contract too.
+/// plus one positional context per remaining low bit.
 std::size_t context_count(int width);
 
 /// Throws CodecError unless 1 <= width <= 32.
@@ -70,39 +61,9 @@ class BitTreeModel {
   std::uint32_t decode(RangeDecoder& dec);
 
  private:
-  friend class StaticBitTreeModel;
   int width_;
   int tree_bits_;                  // min(width, kMaxTreeBits)
   std::vector<BitModel> probs_;    // [2^tree_bits .. 2^tree_bits + low) positional
-};
-
-/// Frozen per-context probabilities, counted over a sample of the data and
-/// carried in the section header. Probabilities are P(bit == 0) quantized to
-/// [1, kProbOne - 1] — never 0 or kProbOne, so any symbol stays codable even
-/// if it never occurred in the counting pass.
-class StaticBitTreeModel {
- public:
-  /// Count `symbols` and freeze the probabilities. Throws CodecError on an
-  /// out-of-width symbol.
-  StaticBitTreeModel(int width, std::span<const std::uint32_t> symbols);
-
-  /// Rebuild from a serialized table (context_count(width) little-endian
-  /// u16 entries). Throws CodecError on a short buffer or an entry outside
-  /// [1, kProbOne - 1].
-  StaticBitTreeModel(int width, std::span<const std::uint8_t> table);
-
-  int width() const { return width_; }
-
-  /// The serialized probability table: context_count(width) LE u16 entries.
-  void serialize(std::vector<std::uint8_t>& out) const;
-
-  void encode(RangeEncoder& enc, std::uint32_t symbol) const;
-  std::uint32_t decode(RangeDecoder& dec) const;
-
- private:
-  int width_;
-  int tree_bits_;
-  std::vector<std::uint16_t> probs_;  // same layout as BitTreeModel::probs_
 };
 
 }  // namespace dp::codec

@@ -159,7 +159,7 @@ Dataset make_wbc(std::uint32_t seed) {
       {0.174, .025, 0.193, .028},    // symmetry
       {0.0629, .007, 0.0627, .007},  // fractal dimension
   };
-  // Difficulty calibration (DESIGN.md §3): class overlap and label noise are
+  // Difficulty calibration (docs/reproducing.md#substitutions): class overlap and label noise are
   // tuned so the float32 reference lands near the paper's 90.1% — the raw
   // marginals above would make the synthetic task easier than the real WDBC
   // because the generator lacks its heavy-tailed outliers and near-boundary
@@ -289,7 +289,7 @@ Dataset make_mushroom(std::uint32_t seed) {
 
   // Label noise caps the achievable accuracy near the paper's 96.8% float32
   // result (the UCI data is perfectly separable; the paper's network is not
-  // a perfect classifier — see DESIGN.md §3).
+  // a perfect classifier — see docs/reproducing.md#substitutions).
   constexpr double kLabelNoise = 0.025;
   std::uniform_real_distribution<double> unif(0.0, 1.0);
 

@@ -4,11 +4,11 @@
 //
 // This environment has no network access, so the UCI files are replaced by
 // deterministic synthetic generators parameterized with the published
-// class-conditional statistics of each dataset (see DESIGN.md §3). Sample
-// counts, class priors, feature counts and the paper's train/test sizes
-// (Iris 100/50, WDBC 379/190, Mushroom 5416/2708) are preserved, and the
-// generators are difficulty-tuned so the float32 reference accuracy lands
-// near the paper's reported values.
+// class-conditional statistics of each dataset (see
+// docs/reproducing.md#substitutions). Sample counts, class priors, feature
+// counts and the paper's train/test sizes (Iris 100/50, WDBC 379/190,
+// Mushroom 5416/2708) are preserved, and the generators are difficulty-tuned
+// so the float32 reference accuracy lands near the paper's reported values.
 
 #include <cstdint>
 #include <string>

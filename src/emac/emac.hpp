@@ -68,8 +68,8 @@ class Emac {
   /// flip-flop can be reset to the fixed-point representation of the bias".
   virtual void reset(std::uint32_t bias_bits) = 0;
 
-  /// Start with an empty (zero) accumulator.
-  void reset() { reset(zero_bits()); }
+  /// Start with an empty accumulator (0 is the zero pattern of every format).
+  void reset() { reset(0); }
 
   /// One MAC cycle: accumulate weight * activation exactly.
   virtual void step(std::uint32_t weight_bits, std::uint32_t activation_bits) = 0;
@@ -89,9 +89,6 @@ class Emac {
 
   /// Width in bits of the exact accumulation register actually allocated.
   virtual std::size_t accumulator_width() const = 0;
-
-  /// The zero pattern of the unit's format.
-  virtual std::uint32_t zero_bits() const { return 0; }
 };
 
 /// Accumulator width for a scaled (float/fixed) format per eq. (3) of the

@@ -1,8 +1,9 @@
 #pragma once
 // Naive (non-exact) MAC baseline: rounds after every multiply and after
 // every accumulate, i.e. what a conventional low-precision datapath without
-// a Kulisch/quire accumulator would produce. Used by the ablation benchmark
-// (DESIGN.md §6.1) to quantify the benefit of the EMAC's delayed rounding.
+// a Kulisch/quire accumulator would produce. Used by bench_ablation
+// (docs/reproducing.md#map) to quantify the benefit of the EMAC's delayed
+// rounding.
 
 #include <cstdint>
 #include <span>

@@ -3,7 +3,7 @@
 // (6-input LUTs, dedicated carry chains, DSP48 slices).
 //
 // This is the substitution for the paper's Vivado 2017.2 synthesis runs on
-// the Virtex-7 xc7vx485t (see DESIGN.md §3): every EMAC is decomposed into
+// the Virtex-7 xc7vx485t (see docs/reproducing.md#substitutions): every EMAC is decomposed into
 // the datapath components visible in Figs 3-5, and each component gets a
 // LUT count, a combinational delay and a switched-capacitance proxy from
 // simple, documented first-order models. Constants are calibrated so the

@@ -1,7 +1,7 @@
 #pragma once
 // EMAC synthesis cost model — the stand-in for the paper's Vivado 2017.2 runs
-// on the Virtex-7 xc7vx485t-2ffg1761c (DESIGN.md §3 documents the
-// substitution).
+// on the Virtex-7 xc7vx485t-2ffg1761c (docs/reproducing.md#substitutions
+// documents the substitution).
 //
 // Each EMAC architecture (Figs 3-5) is decomposed into its datapath
 // components; the pipeline has two register-separated stages (the paper: "a

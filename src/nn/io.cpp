@@ -257,20 +257,8 @@ QuantizedNetwork load_quantized(const std::string& path) {
   return load_quantized(is);
 }
 
-void save_quantized_compressed(std::ostream& os, const QuantizedNetwork& net) {
-  codec::save_compressed(os, net);
-}
-
 void save_quantized_compressed(const std::string& path, const QuantizedNetwork& net) {
   codec::save_compressed(path, net);
-}
-
-QuantizedNetwork load_quantized_compressed(std::istream& is) {
-  return codec::load_compressed(is);
-}
-
-QuantizedNetwork load_quantized_compressed(const std::string& path) {
-  return codec::load_compressed(path);
 }
 
 }  // namespace dp::nn

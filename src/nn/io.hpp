@@ -35,14 +35,8 @@ QuantizedNetwork load_quantized(const std::string& path);
 /// Writes the ".dpnetz" entropy-coded container (codec/container.hpp):
 /// range-coded per-layer symbol tapes plus a CRC-32 over the decoded
 /// payload, typically severalfold smaller than save_quantized output and
-/// guaranteed to reload bit-identical (docs/compression.md). Streams must
-/// be opened in binary mode.
-void save_quantized_compressed(std::ostream& os, const QuantizedNetwork& net);
+/// guaranteed to reload bit-identical through load_quantized(path)
+/// (docs/compression.md).
 void save_quantized_compressed(const std::string& path, const QuantizedNetwork& net);
-/// Parses only the compressed container (use load_quantized(path) for the
-/// format-agnostic spelling). Throws codec::CodecError (a
-/// std::runtime_error) on malformed input.
-QuantizedNetwork load_quantized_compressed(std::istream& is);
-QuantizedNetwork load_quantized_compressed(const std::string& path);
 
 }  // namespace dp::nn

@@ -118,7 +118,9 @@ TEST(DpnetzAdversarial, HostileHeaderFieldsAreRejectedBeforeAllocation) {
       {"activation unknown", 20, 2},
       {"weights model id zero", 21, 0},
       {"weights model id unknown", 21, 3},
+      {"weights model id static (retired)", 21, 2},
       {"bias model id unknown", 22, 7},
+      {"bias model id static (retired)", 22, 2},
       {"section reserved nonzero", 23, 1},
   };
   for (const Mutation& m : mutations) {

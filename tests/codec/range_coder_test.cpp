@@ -1,5 +1,5 @@
 // Unit tests for the dp::codec core: the carry-safe binary range coder, the
-// adaptive and static bit-tree symbol models, and the wire payload block.
+// adaptive bit-tree symbol model, and the wire payload block.
 // The theme throughout is round-trip EXACTNESS — decoded bits must equal
 // source bits for every input, not just typical ones — plus the byte
 // accounting the container relies on (consumed() == coded length).
@@ -156,65 +156,8 @@ TEST(SymbolModel, EncodeRejectsOutOfWidthSymbols) {
   RangeEncoder enc(coded);
   BitTreeModel model(8);
   EXPECT_THROW(model.encode(enc, 0x100u), CodecError);
-  const StaticBitTreeModel frozen(8, std::vector<std::uint32_t>{1, 2, 3});
-  EXPECT_THROW(frozen.encode(enc, 0x100u), CodecError);
   EXPECT_THROW(BitTreeModel(0), CodecError);
   EXPECT_THROW(BitTreeModel(33), CodecError);
-}
-
-TEST(SymbolModel, StaticModelRoundTripsThroughItsSerializedTable) {
-  // Count a skewed tape, serialize the table, rebuild, and check the rebuilt
-  // model decodes what the counted model encoded — the container's static
-  // path end to end.
-  std::mt19937 rng(11);
-  std::vector<std::uint32_t> symbols;
-  for (int i = 0; i < 3000; ++i) {
-    symbols.push_back(rng() % 10 == 0 ? rng() & 0xFFu : rng() & 0x07u);  // mostly small
-  }
-  const int width = 8;
-  const StaticBitTreeModel counted(width, symbols);
-  std::vector<std::uint8_t> table;
-  counted.serialize(table);
-  ASSERT_EQ(table.size(), context_count(width) * 2);
-  const StaticBitTreeModel rebuilt(width, table);
-
-  std::vector<std::uint8_t> coded;
-  RangeEncoder enc(coded);
-  for (const std::uint32_t s : symbols) counted.encode(enc, s);
-  enc.finish();
-  RangeDecoder dec(coded);
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    ASSERT_EQ(rebuilt.decode(dec), symbols[i]) << "symbol " << i;
-  }
-  EXPECT_EQ(dec.consumed(), coded.size());
-
-  // A symbol the counting pass never saw must still be codable (Laplace
-  // smoothing keeps every probability off the rails).
-  std::vector<std::uint8_t> coded2;
-  RangeEncoder enc2(coded2);
-  counted.encode(enc2, 0xFFu);
-  enc2.finish();
-  RangeDecoder dec2(coded2);
-  EXPECT_EQ(rebuilt.decode(dec2), 0xFFu);
-}
-
-TEST(SymbolModel, StaticTableDeserializationValidates) {
-  const int width = 5;
-  std::vector<std::uint8_t> table(context_count(width) * 2, 0);
-  // All-zero entries are outside [1, kProbOne - 1].
-  EXPECT_THROW(StaticBitTreeModel(width, table), CodecError);
-  // Short buffer.
-  const StaticBitTreeModel good(width, std::vector<std::uint32_t>{1, 2, 3});
-  std::vector<std::uint8_t> ser;
-  good.serialize(ser);
-  EXPECT_THROW(
-      StaticBitTreeModel(width, std::span<const std::uint8_t>(ser.data(), ser.size() - 1)),
-      CodecError);
-  // An entry == kProbOne (2048) is invalid too.
-  std::vector<std::uint8_t> bad = ser;
-  bad[0] = 0x00;
-  bad[1] = 0x08;  // LE 2048
-  EXPECT_THROW(StaticBitTreeModel(width, bad), CodecError);
 }
 
 TEST(PayloadBlock, RoundTripsAcrossWidthsAndSizes) {

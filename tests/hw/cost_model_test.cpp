@@ -1,5 +1,6 @@
 // Tests for the FPGA cost model: the figure-shape properties the paper
-// reports must emerge from the component decomposition (DESIGN.md §7).
+// reports must emerge from the component decomposition (the Figs. 6-8
+// rows of docs/reproducing.md#map).
 
 #include "hw/cost_model.hpp"
 
