@@ -38,6 +38,10 @@ std::uint64_t get_u64(std::span<const std::uint8_t> b, std::size_t at) {
   return v;
 }
 
+/// The highest Status value that travels on the wire; kTimeout (7) is the
+/// client's own verdict and never does.
+constexpr auto kMaxWireStatus = static_cast<std::uint16_t>(Status::kDeadlineExceeded);
+
 /// The validated fixed-header fields every reader needs before it can size
 /// the rest of the frame. Shared by decode and try_extract so both paths
 /// enforce exactly the same rules.
@@ -58,12 +62,15 @@ Header parse_header(std::span<const std::uint8_t> b) {
   }
   const std::uint8_t type = b[5];
   if (type != static_cast<std::uint8_t>(FrameType::kRequest) &&
-      type != static_cast<std::uint8_t>(FrameType::kResponse) &&
-      type != static_cast<std::uint8_t>(FrameType::kMetricsRequest)) {
+      type != static_cast<std::uint8_t>(FrameType::kResponse)) {
     throw ProtocolError("serve protocol: unknown frame type " + std::to_string(type));
   }
   h.type = static_cast<FrameType>(type);
-  h.status = static_cast<Status>(get_u16(b, 6));
+  const std::uint16_t status = get_u16(b, 6);
+  if (status > kMaxWireStatus) {
+    throw ProtocolError("serve protocol: unknown status " + std::to_string(status));
+  }
+  h.status = static_cast<Status>(status);
   h.request_id = get_u64(b, 8);
   h.payload_bytes = get_u32(b, 16);
   if (h.payload_bytes > kMaxPayloadBytes) {
@@ -141,6 +148,10 @@ std::vector<std::uint8_t> encode(const Frame& frame) {
   if (frame.payload_encoding > kPayloadEncodingCodec) {
     throw ProtocolError("serve protocol: unknown payload encoding " +
                         std::to_string(frame.payload_encoding));
+  }
+  if (static_cast<std::uint16_t>(frame.status) > kMaxWireStatus) {
+    throw ProtocolError("serve protocol: cannot encode status " +
+                        std::to_string(static_cast<std::uint16_t>(frame.status)));
   }
   if (frame.model.size() > kMaxModelNameBytes) {
     throw ProtocolError("serve protocol: model name exceeds kMaxModelNameBytes");

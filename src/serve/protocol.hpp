@@ -11,7 +11,7 @@
 //     0       4     magic "DPSV" (bytes 0x44 0x50 0x53 0x56)
 //     4       1     version = 1 (kProtocolV1)
 //     5       1     frame type (1 = request, 2 = response)
-//     6       2     status  (requests send 0; responses carry serve::Status)
+//     6       2     status  (requests send 0; responses carry serve::Status 0..6)
 //     8       8     request id (client-chosen, echoed verbatim in the response)
 //     16      4     payload length N in BYTES (= 4 * element count, <= kMaxPayloadBytes)
 //     20      N     payload: N/4 u32 bit patterns
@@ -74,10 +74,11 @@
 // runtime::Session call on the same doubles). A response payload is the
 // readout activations. Error responses carry an empty payload.
 //
-// decode() never trusts the peer: magic, version, type, length bounds and
-// CRC are all checked before any payload byte is interpreted, and a failure
-// is a ProtocolError naming the first rule violated. A stream cannot resync
-// after a framing error, so the server drops the connection on one.
+// decode() never trusts the peer: magic, version, type, status, length
+// bounds and CRC are all checked before any payload byte is interpreted, and
+// a failure is a ProtocolError naming the first rule violated. A stream
+// cannot resync after a framing error, so the server drops the connection on
+// one.
 
 #include <cstddef>
 #include <cstdint>
@@ -110,17 +111,11 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 /// room to spare; registry names are short identifiers, not paths).
 inline constexpr std::size_t kMaxModelNameBytes = 64;
 
-/// kMetricsRequest is the reserved observability frame: a v1 request-shaped
-/// frame (type byte 3, status 0, EMPTY payload — the server answers anything
-/// else with kBadRequest) whose response is an ordinary kResponse frame
-/// carrying the plaintext metrics page as little-endian u32-packed bytes,
-/// NUL-padded to a multiple of 4 (Client::metrics() strips the padding). The
-/// 24-byte request layout is pinned byte-for-byte by
-/// tests/serve/protocol_adversarial_test.cpp.
-enum class FrameType : std::uint8_t { kRequest = 1, kResponse = 2, kMetricsRequest = 3 };
+/// Frame type byte 3 is unassigned: decode rejects it like any unknown type.
+enum class FrameType : std::uint8_t { kRequest = 1, kResponse = 2 };
 
-/// The bytes arrived but were not a valid frame (bad magic/version/type,
-/// oversize or misaligned length, oversize name, CRC mismatch).
+/// The bytes arrived but were not a valid frame (bad magic/version/type/
+/// status, oversize or misaligned length, oversize name, CRC mismatch).
 class ProtocolError : public std::runtime_error {
  public:
   explicit ProtocolError(const std::string& what) : std::runtime_error(what) {}
@@ -154,7 +149,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> data);
 /// block] + payload + CRC trailer). Throws ProtocolError if the payload
 /// exceeds kMaxPayloadBytes, the name exceeds kMaxModelNameBytes, a v1 frame
 /// carries a name, a v1/v2 frame carries a deadline budget or a nonzero
-/// payload encoding, the encoding byte is unknown, or the version is unknown.
+/// payload encoding, the encoding byte is unknown, the version is unknown, or
+/// the status has no wire value (above kDeadlineExceeded, e.g. kTimeout).
 std::vector<std::uint8_t> encode(const Frame& frame);
 
 /// Parse one complete frame from `bytes` (which must be exactly one frame).

@@ -2,7 +2,6 @@
 
 #include <poll.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <stdexcept>
@@ -25,18 +24,6 @@ constexpr std::size_t kCompactAt = 64 * 1024;
 /// Loop tick while responses are queued but unsendable (socket full) or a
 /// stop is in progress: bounds how stale a write-stall verdict can be.
 constexpr int kTickMs = 20;
-
-/// Metrics page bytes -> the u32 payload of its kResponse frame: packed
-/// little-endian, NUL-padded up to the next word (Client::metrics strips
-/// the padding). The packing is part of the wire contract (protocol.hpp).
-std::vector<std::uint32_t> pack_text(const std::string& text) {
-  std::vector<std::uint32_t> out((text.size() + 3) / 4, 0);
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    out[i / 4] |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(text[i]))
-                  << (8 * (i % 4));
-  }
-  return out;
-}
 
 void append_counter(std::string& out, const char* name, const std::string& labels,
                     std::uint64_t v) {
@@ -103,13 +90,6 @@ Server::Server(std::unique_ptr<ModelRegistry> owned, ModelRegistry* external,
       owned_registry_(std::move(owned)),
       write_timeout_(opts.write_timeout),
       max_write_queue_bytes_(opts.max_write_queue_bytes),
-      max_connections_per_shard_(opts.max_connections_per_shard),
-      max_inflight_per_connection_(opts.max_inflight_per_connection),
-      rate_limit_rps_(opts.rate_limit_rps),
-      rate_limit_burst_(opts.rate_limit_rps <= 0
-                            ? 0
-                            : std::max(1.0, opts.rate_limit_burst > 0 ? opts.rate_limit_burst
-                                                                      : opts.rate_limit_rps)),
       start_(Clock::now()) {
   const std::size_t n = resolve_shards(opts.shards);
   shards_.reserve(n);
@@ -225,7 +205,6 @@ ServerStats Server::stats() const {
     s.not_found += c.not_found;
     s.dropped += c.dropped;
     s.overloaded += c.overloaded;
-    s.rate_limited += c.rate_limited;
     s.metrics_scrapes += c.metrics_scrapes;
   }
   if (const std::optional<BatcherStats> b = registry_->stats("")) s.batcher = *b;
@@ -271,7 +250,6 @@ std::string Server::metrics_text() const {
     append_counter(out, "dp_shard_not_found", label, s.not_found);
     append_counter(out, "dp_shard_dropped", label, s.dropped);
     append_counter(out, "dp_shard_overloaded", label, s.overloaded);
-    append_counter(out, "dp_shard_rate_limited", label, s.rate_limited);
     append_counter(out, "dp_shard_metrics_scrapes", label, s.metrics_scrapes);
   }
   for (const std::string& name : registry_->names()) {
@@ -303,8 +281,7 @@ void Server::bump(Shard& sh, std::uint64_t ShardStats::* counter) {
 // ---------------------------------------------------------------------------
 
 void Server::accept_from(Shard& sh, Transport& transport,
-                         std::vector<std::shared_ptr<Conn>>& conns,
-                         std::size_t& request_conns, bool metrics_conn) {
+                         std::vector<std::shared_ptr<Conn>>& conns, bool metrics_conn) {
   for (;;) {
     FdStream stream = transport.accept();
     if (!stream.valid()) return;
@@ -318,8 +295,6 @@ void Server::accept_from(Shard& sh, Transport& transport,
     auto conn = std::make_shared<Conn>(std::move(stream));
     conn->owner = &sh;
     conn->last_progress = Clock::now();
-    conn->tokens = rate_limit_burst_;  // a fresh connection starts with a full bucket
-    conn->bucket_refill = conn->last_progress;
     if (metrics_conn) {
       // One-shot scrape: the page is queued now, the read side is
       // short-circuited, and the graceful-close path closes the connection
@@ -331,13 +306,6 @@ void Server::accept_from(Shard& sh, Transport& transport,
       conn->wq.emplace_back(text.begin(), text.end());
       bump(sh, &ShardStats::metrics_scrapes);
     } else {
-      if (max_connections_per_shard_ > 0 && request_conns >= max_connections_per_shard_) {
-        // Over the cap: keep the connection just long enough to answer its
-        // first frames with a clean kOverloaded status, instead of slamming
-        // the socket shut and leaving the client to guess why.
-        conn->reject = true;
-      }
-      ++request_conns;
       bump(sh, &ShardStats::connections);
     }
     conns.push_back(std::move(conn));
@@ -389,9 +357,7 @@ void Server::loop_main(Shard& sh) {
     }
     const std::size_t base = pfds.size();
     bool any_wq = false;
-    std::size_t request_conns = 0;  // live non-metrics conns; feeds the cap
     for (const std::shared_ptr<Conn>& conn : conns) {
-      if (!conn->raw) ++request_conns;
       short events = 0;
       if (!conn->read_done && !stopping) events |= POLLIN;
       {
@@ -444,7 +410,7 @@ void Server::loop_main(Shard& sh) {
     }
     if (pfds[1].revents != 0) {
       try {
-        accept_from(sh, sh.local, conns, request_conns, false);
+        accept_from(sh, sh.local, conns, false);
       } catch (const TransportError&) {
         // A connection we failed to register is simply lost (its FdStream
         // closed); the loop itself must survive.
@@ -452,7 +418,7 @@ void Server::loop_main(Shard& sh) {
     }
     if (poll_tcp && pfds[idx_tcp].revents != 0) {
       try {
-        accept_from(sh, *sh.tcp, conns, request_conns, false);
+        accept_from(sh, *sh.tcp, conns, false);
       } catch (const TransportError&) {
         // Out of fds (or similar): park the listener and retry shortly.
         tcp_backoff = Clock::now() + std::chrono::milliseconds(200);
@@ -460,7 +426,7 @@ void Server::loop_main(Shard& sh) {
     }
     if (poll_metrics && pfds[idx_metrics].revents != 0) {
       try {
-        accept_from(sh, *sh.metrics, conns, request_conns, true);
+        accept_from(sh, *sh.metrics, conns, true);
       } catch (const TransportError&) {
         metrics_backoff = Clock::now() + std::chrono::milliseconds(200);
       }
@@ -644,14 +610,8 @@ bool Server::drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn) {
     sh.counters.frames_in += tally.frames_in;
     sh.counters.bad_requests += tally.bad_requests;
     sh.counters.not_found += tally.not_found;
-    sh.counters.overloaded += tally.overloaded;
-    sh.counters.rate_limited += tally.rate_limited;
-    sh.counters.metrics_scrapes += tally.metrics;
   }
   if (!ok) return false;
-  // An over-cap connection has now been answered: stop reading so the
-  // graceful-close path flushes the kOverloaded responses and closes it.
-  if (conn->reject && tally.frames_in > 0) conn->read_done = true;
   if (conn->rbuf_head == conn->rbuf.size()) {
     conn->rbuf.clear();
     conn->rbuf_head = 0;
@@ -670,51 +630,9 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
     enqueue_response(conn, id, Status::kShutdown, {});
     return;
   }
-  if (frame.type == FrameType::kMetricsRequest) {
-    // In-band scrape: reserved frame type, empty payload required (the
-    // layout is pinned by the adversarial protocol tests). Answered even on
-    // an over-cap connection — observability under overload is the point.
-    if (!frame.payload.empty() || !frame.model.empty()) {
-      ++tally.bad_requests;
-      enqueue_response(conn, id, Status::kBadRequest, {});
-      return;
-    }
-    ++tally.metrics;
-    const std::vector<std::uint32_t> page = pack_text(metrics_text());
-    enqueue_response(conn, id, Status::kOk, page);
-    return;
-  }
   if (frame.type != FrameType::kRequest) {
     ++tally.bad_requests;
     enqueue_response(conn, id, Status::kBadRequest, {});
-    return;
-  }
-  if (conn->reject) {
-    // Over the connection cap: clean rejection, then drain_rbuf stops the
-    // read side so the connection closes once the response flushes.
-    ++tally.overloaded;
-    enqueue_response(conn, id, Status::kOverloaded, {});
-    return;
-  }
-  if (rate_limit_rps_ > 0) {
-    // Per-connection token bucket: continuous refill at rate_limit_rps up to
-    // the burst capacity, one token per request frame. An empty bucket is a
-    // clean kOverloaded — no batcher, no queue space, no inference.
-    const auto now = Clock::now();
-    const double elapsed = std::chrono::duration<double>(now - conn->bucket_refill).count();
-    conn->bucket_refill = now;
-    conn->tokens = std::min(rate_limit_burst_, conn->tokens + elapsed * rate_limit_rps_);
-    if (conn->tokens < 1.0) {
-      ++tally.rate_limited;
-      enqueue_response(conn, id, Status::kOverloaded, {});
-      return;
-    }
-    conn->tokens -= 1.0;
-  }
-  if (max_inflight_per_connection_ > 0 &&
-      conn->outstanding.load() >= max_inflight_per_connection_) {
-    ++tally.overloaded;
-    enqueue_response(conn, id, Status::kOverloaded, {});
     return;
   }
   // Route: v2/v4 by name, v1 (empty name) to the default entry. The lease
@@ -1016,46 +934,6 @@ Reply Client::receive(std::uint64_t id) {
     // receive(). Out-of-order arrival is normal with dispatchers >= 2.
     const std::uint64_t other = frame->request_id;
     buffered_[other] = to_reply(std::move(*frame));
-  }
-}
-
-std::string Client::metrics() {
-  Frame frame;
-  frame.version = kProtocolV1;
-  frame.type = FrameType::kMetricsRequest;
-  frame.request_id = next_id_++;
-  write_frame(stream_, frame);
-  const std::optional<std::chrono::steady_clock::time_point> deadline = recv_deadline();
-  for (;;) {
-    bool timed_out = false;
-    std::optional<Frame> resp = next_frame(deadline, timed_out);
-    if (timed_out) {
-      // No Reply to carry kTimeout in: surface the expiry as a transport
-      // failure (the scrape may still land in rbuf_ later, harmlessly).
-      throw TransportError("serve::Client: metrics scrape timed out");
-    }
-    if (!resp) throw TransportError("serve::Client: server closed the connection");
-    if (resp->type != FrameType::kResponse) {
-      throw ProtocolError("serve::Client: server sent a non-response frame");
-    }
-    if (resp->request_id == frame.request_id) {
-      if (resp->status != Status::kOk) {
-        throw ProtocolError(std::string("serve::Client: metrics scrape refused: ") +
-                            to_string(resp->status));
-      }
-      // Unpack the little-endian u32 payload and strip the NUL padding.
-      std::string text;
-      text.reserve(resp->payload.size() * 4);
-      for (const std::uint32_t w : resp->payload) {
-        for (int b = 0; b < 4; ++b) text.push_back(static_cast<char>((w >> (8 * b)) & 0xff));
-      }
-      while (!text.empty() && text.back() == '\0') text.pop_back();
-      return text;
-    }
-    // A pipelined inference response overtook the scrape: park it.
-    awaiting_.erase(resp->request_id);
-    const std::uint64_t other = resp->request_id;
-    buffered_[other] = to_reply(std::move(*resp));
   }
 }
 

@@ -31,31 +31,21 @@
 // points every dispatcher Session at one shared runtime::WorkerPool, so N
 // shards never oversubscribe the machine with N private pools.
 //
-// Admission control bounds what any client (or client population) can pin:
-//
-//   * max_connections_per_shard — connections accepted past the cap are
-//     answered kOverloaded (a clean status, not a slammed socket) and closed
-//     after their first batch of frames;
-//   * max_inflight_per_connection — a pipelining client past its in-flight
-//     budget gets kOverloaded for the excess instead of queue space;
-//   * max_write_queue_bytes / write_timeout — a connection whose write queue
-//     overflows, or makes no progress (peer stopped reading), is dropped and
-//     its remaining responses discarded;
-//   * rate_limit_rps — a per-connection token bucket; a request frame
-//     arriving with no token is answered kOverloaded without ever touching
-//     a batcher, so one chatty client cannot crowd the shared admission
-//     queues (metrics frames are exempt).
+// Two on-by-default bounds cap what a client can pin: the batcher's
+// queue_capacity (a full lane answers kQueueFull), and max_write_queue_bytes /
+// write_timeout (a connection whose write queue overflows, or makes no
+// progress because the peer stopped reading, is dropped and its remaining
+// responses discarded).
 //
 // Requests may carry a protocol-v4 deadline budget; the shard converts it
 // to a steady-clock instant at decode and the batcher sheds the request
 // with kDeadlineExceeded if it expires while still queued (batcher.hpp).
 //
 // Observability: Server::metrics_text() renders a plaintext page of
-// per-shard and per-model counters (format pinned in docs/serving.md).
-// It is scrape-able two ways — in-band, via a reserved protocol frame
-// (FrameType::kMetricsRequest, Client::metrics()); or out-of-band via
-// ServerOptions::metrics_port, a side TCP listener that writes the page to
-// every connection and closes (curl/nc-friendly, no framing).
+// per-shard and per-model counters (format pinned in docs/serving.md). It is
+// scraped through ServerOptions::metrics_port, a side TCP listener that
+// writes the page to every connection and closes (curl/nc-friendly, no
+// framing).
 //
 // Request path per frame: the owning shard decodes it, routes it through
 // the registry — a v2/v4 frame by its model-name field, a v1 frame (or an
@@ -119,29 +109,11 @@ struct ServerOptions {
   /// to std::thread::hardware_concurrency(). The single-model constructor
   /// also sizes its private registry's admission lanes to this count.
   std::size_t shards = 1;
-  /// Per-shard cap on concurrently registered request connections; a
-  /// connection accepted past it is answered kOverloaded and closed after
-  /// its first batch of frames. 0 = unlimited.
-  std::size_t max_connections_per_shard = 0;
-  /// Per-connection cap on requests submitted but not yet answered; a
-  /// pipelining client past it gets kOverloaded for the excess instead of
-  /// queue space. 0 = unlimited.
-  std::size_t max_inflight_per_connection = 0;
   /// When set, a side TCP listener on 127.0.0.1:metrics_port (0 =
   /// ephemeral; read back with Server::metrics_port()) that writes
   /// metrics_text() to every connection and closes it — scrape with
   /// nc/curl, no protocol framing involved. Served by shard 0's loop.
   std::optional<std::uint16_t> metrics_port;
-  /// Per-connection token-bucket rate limit, in request frames per second.
-  /// A request frame arriving with no token left is answered kOverloaded
-  /// without ever touching a batcher, so one chatty client cannot crowd the
-  /// admission queues that every client shares. Metrics frames are exempt —
-  /// observability under overload is the point of scraping. 0 disables.
-  double rate_limit_rps = 0;
-  /// Token-bucket capacity (the burst a quiet connection may save up), in
-  /// frames. 0 resolves to rate_limit_rps; clamped to >= 1 so a conforming
-  /// client is never starved by a sub-1 bucket.
-  double rate_limit_burst = 0;
 };
 
 /// Wire- and connection-level counters of ONE shard (Server::shard_stats();
@@ -154,9 +126,10 @@ struct ShardStats {
   std::uint64_t bad_requests = 0;    ///< well-framed but invalid (wrong dim / type)
   std::uint64_t not_found = 0;       ///< v2 requests naming an unknown model
   std::uint64_t dropped = 0;         ///< connections dropped (stall / overflow / bad frame)
-  std::uint64_t overloaded = 0;      ///< requests refused by admission control
-  std::uint64_t rate_limited = 0;    ///< requests refused by the token bucket
-  std::uint64_t metrics_scrapes = 0; ///< metrics pages served (both flavours)
+  /// No path in this server sets it any more; the field and its
+  /// dp_shard_overloaded page line stay for existing readers.
+  std::uint64_t overloaded = 0;
+  std::uint64_t metrics_scrapes = 0; ///< metrics pages served by the side listener
 };
 
 /// Whole-server counters (every ShardStats field summed across shards) plus
@@ -171,8 +144,7 @@ struct ServerStats {
   std::uint64_t bad_requests = 0;
   std::uint64_t not_found = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t overloaded = 0;
-  std::uint64_t rate_limited = 0;
+  std::uint64_t overloaded = 0;      ///< always 0 (see ShardStats::overloaded)
   std::uint64_t metrics_scrapes = 0;
 };
 
@@ -263,10 +235,7 @@ class Server {
     std::vector<std::uint8_t> rbuf;
     std::size_t rbuf_head = 0;  // parsed-prefix offset, compacted periodically
     bool read_done = false;     // EOF seen (or reads abandoned during stop)
-    bool reject = false;        // over the connection cap: answer kOverloaded
     bool raw = false;           // metrics scrape: wq holds raw text, not frames
-    double tokens = 0;          // rate-limit token bucket (loop thread only)
-    std::chrono::steady_clock::time_point bucket_refill{};  // last token top-up
     std::chrono::steady_clock::time_point last_progress{};  // write-stall clock
 
     // Write side — guarded by m (loop flushes, dispatcher callbacks append).
@@ -305,21 +274,15 @@ class Server {
   void start_loop(Shard& sh);
   void loop_main(Shard& sh);
   void wake(Shard& sh);
-  /// Drain `transport`'s pending connections into `conns`. `request_conns`
-  /// is the shard's live request-connection count (maintained by the loop,
-  /// advanced here) that the connection cap is judged against.
+  /// Drain `transport`'s pending connections into `conns`.
   void accept_from(Shard& sh, Transport& transport,
-                   std::vector<std::shared_ptr<Conn>>& conns, std::size_t& request_conns,
-                   bool metrics_conn);
+                   std::vector<std::shared_ptr<Conn>>& conns, bool metrics_conn);
   /// Frame counters accumulated across one read chunk, folded into the
   /// shard's stats under a single lock (never one lock per frame).
   struct FrameTally {
     std::uint64_t frames_in = 0;
     std::uint64_t bad_requests = 0;
     std::uint64_t not_found = 0;
-    std::uint64_t overloaded = 0;
-    std::uint64_t rate_limited = 0;
-    std::uint64_t metrics = 0;
   };
 
   /// Parse and route every complete frame in conn's read buffer. Returns
@@ -344,10 +307,6 @@ class Server {
   std::unique_ptr<ModelRegistry> owned_registry_;    // single-model constructor
   const std::chrono::milliseconds write_timeout_;
   const std::size_t max_write_queue_bytes_;
-  const std::size_t max_connections_per_shard_;
-  const std::size_t max_inflight_per_connection_;
-  const double rate_limit_rps_;
-  const double rate_limit_burst_;  // resolved capacity (>= 1 when limiting)
   const std::chrono::steady_clock::time_point start_;  // metrics uptime epoch
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -363,14 +322,13 @@ class Server {
   bool stop_called_ = false; // stop() ran end-to-end (it must always join loops)
 };
 
-/// Client-side knobs. serve::ResilientClient layers reconnect/retry policy
-/// on top of these; the plain Client stays a thin protocol speaker.
+/// Client-side knobs.
 struct ClientOptions {
   /// When set, receive() waits at most this long for the response and then
   /// returns Reply{Status::kTimeout} — the id stays receivable, so a late
   /// response is still buffered for a later receive() on the same id.
-  /// metrics() and receive_frame() throw TransportError on expiry instead
-  /// (they have no Reply to carry the status in). Unset = wait forever, the
+  /// receive_frame() throws TransportError on expiry instead (it has no
+  /// Reply to carry the status in). Unset = wait forever, the
   /// original blocking behaviour.
   std::optional<std::chrono::milliseconds> recv_timeout;
   /// Entropy-code request payloads (protocol v4, codec/payload.hpp): the
@@ -441,11 +399,6 @@ class Client {
   /// Blocking round trip to an argmax class (-1 on a non-Ok status).
   int predict(std::span<const double> x);
 
-  /// In-band metrics scrape: send a kMetricsRequest frame, block for its
-  /// response, return the plaintext page (responses to other pipelined
-  /// requests seen meanwhile are buffered for their receive()).
-  std::string metrics();
-
   // --- Protocol-level escape hatches ---------------------------------------
   // For tests and alternative protocol implementations: bypass the sample
   // encoding and speak raw frames/bytes. Mixing these with pipelined
@@ -471,7 +424,6 @@ class Client {
 
  private:
   friend class Server;
-  friend class ResilientClient;
   friend Client connect_tcp(std::uint16_t port, std::shared_ptr<const runtime::Model> model,
                             std::string model_name, ClientOptions opts);
 

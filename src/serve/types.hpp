@@ -18,11 +18,11 @@ enum class Status : std::uint16_t {
   kShutdown = 2,    ///< rejected: the batcher/server is shutting down
   kBadRequest = 3,  ///< malformed request (e.g. wrong feature count)
   kNotFound = 4,    ///< v2 routing: no registry entry under the requested model name
-  kOverloaded = 5,  ///< rejected by admission control (conn / in-flight cap, rate limit)
+  kOverloaded = 5,  ///< reserved wire value; no path in this server sets it any more
   kDeadlineExceeded = 6,  ///< shed: the v4 deadline budget expired while queued
   /// Client-side only: the caller's receive timeout elapsed before any
-  /// response arrived. Never sent by a server, so it has no wire presence —
-  /// the value is reserved here so a Reply can carry it unambiguously.
+  /// response arrived. It has no wire presence — encode refuses it and
+  /// decode rejects it — and is reserved here so a Reply can carry it.
   kTimeout = 7,
 };
 

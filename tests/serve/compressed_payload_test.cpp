@@ -2,9 +2,8 @@
 // inference over compressed payloads must be bit-identical to a direct
 // runtime::Session, compression is negotiated PER FRAME (raw and codec
 // requests interleave freely on one connection, each response mirroring its
-// request's encoding), malformed compressed payloads earn kBadRequest
-// without killing the connection, and the ResilientClient opt-in works
-// through reconnects.
+// request's encoding), and malformed compressed payloads earn kBadRequest
+// without killing the connection.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
-#include "serve/resilient_client.hpp"
 #include "serve/server.hpp"
 
 namespace dp::serve {
@@ -181,40 +179,6 @@ TEST(CompressedPayload, MalformedCompressedRequestEarnsBadRequestNotDisconnect) 
   const std::vector<double> xs = random_rows(1, model->input_dim(), 3);
   const Reply reply = client.forward_bits(xs);
   EXPECT_EQ(reply.status, Status::kOk);
-}
-
-TEST(CompressedPayload, ResilientClientCompressesAndSurvivesReconnect) {
-  const auto model = runtime::Model::create(
-      nn::quantize(small_net(), num::Format{num::PositFormat{7, 1}}));
-  runtime::Session direct(model);
-  Server server(model, tcp_options());
-
-  ResilientClientOptions opts;
-  opts.compress_payloads = true;
-  opts.retry.max_attempts = 3;
-  opts.retry.initial_backoff = 1ms;
-  // A dialer that fails on its first attempt: the retry layer must carry
-  // the compression option through the reconnect.
-  int dials = 0;
-  const std::uint16_t port = server.tcp_port();
-  ResilientClient client(
-      [&dials, port] {
-        if (++dials == 1) throw TransportError("injected dial failure");
-        return tcp_connect(port);
-      },
-      model, "", opts);
-
-  const std::vector<double> xs = random_rows(4, model->input_dim(), 23);
-  for (std::size_t i = 0; i < 4; ++i) {
-    const std::span<const double> x(xs.data() + i * model->input_dim(),
-                                    model->input_dim());
-    const Reply reply = client.forward_bits(x);
-    ASSERT_EQ(reply.status, Status::kOk) << "row " << i;
-    const auto want = direct.forward_bits(x);
-    ASSERT_EQ(reply.bits, std::vector<std::uint32_t>(want.begin(), want.end()))
-        << "row " << i;
-  }
-  EXPECT_EQ(dials, 2);  // one failed, one carried compress through
 }
 
 }  // namespace

@@ -60,21 +60,7 @@ FdStream FaultInjector::wrap(FdStream inner) {
   return std::move(caller_end);
 }
 
-FdStream FaultInjector::connect(std::uint16_t port) {
-  if (profile_.drop_connect_probability > 0) {
-    std::uint64_t attempt = 0;
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      attempt = ++next_conn_;
-    }
-    std::mt19937_64 rng(profile_.seed * 0x9E3779B97F4A7C15ull + attempt * 2 + 1);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    if (coin(rng) < profile_.drop_connect_probability) {
-      throw TransportError("fault injection: connect dropped");
-    }
-  }
-  return wrap(tcp_connect(port));
-}
+FdStream FaultInjector::connect(std::uint16_t port) { return wrap(tcp_connect(port)); }
 
 void FaultInjector::pump(Relay& relay, bool client_to_inner, std::uint64_t rng_seed) {
   FdStream& src = client_to_inner ? relay.outer : relay.inner;

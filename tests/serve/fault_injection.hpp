@@ -13,9 +13,8 @@
 //     caller <-> [socketpair] <-> relay threads <-> inner (real peer)
 //
 // What the peer observes: short reads and short writes (slicing), latency
-// spikes (delays), connection resets at arbitrary byte boundaries (resets),
-// and refused connections (connect() with drop_connect_probability). What it
-// must never observe: reordered, duplicated or corrupted bytes — the relay
+// spikes (delays) and connection resets at arbitrary byte boundaries
+// (resets). What it must never observe: reordered, duplicated or corrupted bytes — the relay
 // forwards verbatim, so a server bug surfaced under chaos is a real bug, not
 // an artifact of the harness. Because the relay is symmetric, splicing it on
 // the dialing side exposes the server's poll loop to the same sliced,
@@ -37,8 +36,7 @@
 
 namespace dp::serve {
 
-/// Knobs of one injector. Probabilities are per-slice (resets, delays) or
-/// per-attempt (dropped connects), in [0, 1]. The default profile is a pure
+/// Knobs of one injector. Probabilities are per-slice, in [0, 1]. The default profile is a pure
 /// pass-through relay that only slices — already enough to surface
 /// partial-read/partial-write bugs.
 struct FaultProfile {
@@ -53,8 +51,6 @@ struct FaultProfile {
   /// Probability that a slice triggers a full connection reset instead of
   /// being forwarded (both directions die, like a RST mid-frame).
   double reset_probability = 0.0;
-  /// Probability that connect() refuses outright, before any byte.
-  double drop_connect_probability = 0.0;
 };
 
 class FaultInjector {
@@ -71,8 +67,7 @@ class FaultInjector {
   /// The relay owns `inner` from here on.
   FdStream wrap(FdStream inner);
 
-  /// tcp_connect(port) through the injector: may refuse with TransportError
-  /// (drop_connect_probability), otherwise returns wrap() of the connection.
+  /// tcp_connect(port) through the injector: wrap() of the new connection.
   FdStream connect(std::uint16_t port);
 
  private:

@@ -5,8 +5,8 @@
 // a hostile peer: no over-read (consumed == 0 until a whole frame is
 // present), no spurious frame (a partial or corrupted frame never decodes),
 // and deterministic drop (corruption is a ProtocolError or a stall, never a
-// wrong frame). The wire constants and the kMetricsRequest layout are
-// pinned byte-for-byte — they are contracts with out-of-process clients.
+// wrong frame). The wire constants are pinned — they are contracts with
+// out-of-process clients.
 
 #include "serve/protocol.hpp"
 
@@ -18,17 +18,6 @@
 
 namespace dp::serve {
 namespace {
-
-/// Independent bitwise CRC-32 (IEEE reflected): the test must not trust the
-/// library's table-driven implementation to check itself.
-std::uint32_t reference_crc32(const std::vector<std::uint8_t>& data) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    c ^= byte;
-    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 struct CorpusEntry {
   const char* label;
@@ -90,12 +79,6 @@ std::vector<CorpusEntry> corpus() {
     f.model = std::string(kMaxModelNameBytes, 'x');
     out.push_back({"v2 max-length name", f});
   }
-  {
-    Frame f;
-    f.type = FrameType::kMetricsRequest;
-    f.request_id = 6;
-    out.push_back({"metrics request", f});
-  }
   return out;
 }
 
@@ -111,39 +94,6 @@ TEST(ProtocolAdversarial, WireConstantsArePinned) {
   EXPECT_EQ(kFrameMagic, 0x56535044u);
   EXPECT_EQ(static_cast<std::uint8_t>(FrameType::kRequest), 1);
   EXPECT_EQ(static_cast<std::uint8_t>(FrameType::kResponse), 2);
-  EXPECT_EQ(static_cast<std::uint8_t>(FrameType::kMetricsRequest), 3);
-}
-
-TEST(ProtocolAdversarial, MetricsRequestFrameLayoutIsPinnedByteForByte) {
-  Frame f;
-  f.version = kProtocolV1;
-  f.type = FrameType::kMetricsRequest;
-  f.request_id = 0x1122334455667788ull;
-  const std::vector<std::uint8_t> bytes = encode(f);
-
-  // 20-byte header + 4-byte CRC, nothing else: magic "DPSV", version 1,
-  // type 3, status 0, the request id little-endian, payload length 0.
-  std::vector<std::uint8_t> want = {
-      0x44, 0x50, 0x53, 0x56,                          // "DPSV"
-      0x01,                                            // version 1
-      0x03,                                            // kMetricsRequest
-      0x00, 0x00,                                      // status 0
-      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // request id, LE
-      0x00, 0x00, 0x00, 0x00,                          // payload length 0
-  };
-  const std::uint32_t crc = reference_crc32(want);
-  for (int i = 0; i < 4; ++i) want.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-
-  ASSERT_EQ(bytes.size(), kHeaderBytes + kTrailerBytes);
-  EXPECT_EQ(bytes, want);
-
-  // And it round-trips through both decode paths.
-  EXPECT_EQ(decode(bytes), f);
-  std::size_t consumed = 0;
-  const std::optional<Frame> extracted = try_extract(bytes, consumed);
-  ASSERT_TRUE(extracted.has_value());
-  EXPECT_EQ(*extracted, f);
-  EXPECT_EQ(consumed, bytes.size());
 }
 
 // --- byte-at-a-time framing: split at every boundary -------------------------

@@ -160,6 +160,36 @@ TEST(ServeProtocol, DecodeRejectsBadMagicVersionTypeAndLengths) {
     refresh_crc(bad);
     EXPECT_THROW(decode(bad), ProtocolError);
   }
+  {  // the retired in-band metrics type (3) is rejected by both readers
+    std::vector<std::uint8_t> bad = encode(req);
+    bad[5] = 3;
+    refresh_crc(bad);
+    EXPECT_THROW(decode(bad), ProtocolError);
+    std::size_t consumed = 0;
+    EXPECT_THROW(try_extract(bad, consumed), ProtocolError);
+  }
+  {  // status 7 is kTimeout, the client's own verdict: never on the wire
+    std::vector<std::uint8_t> bad = encode(req);
+    bad[6] = 7;
+    refresh_crc(bad);
+    EXPECT_THROW(decode(bad), ProtocolError);
+    std::size_t consumed = 0;
+    EXPECT_THROW(try_extract(bad, consumed), ProtocolError);
+    Frame f = req;
+    f.status = Status::kTimeout;
+    EXPECT_THROW(encode(f), ProtocolError);
+  }
+  {  // status 0x0100: the high byte of the u16 is checked too
+    std::vector<std::uint8_t> bad = encode(req);
+    bad[7] = 0x01;
+    refresh_crc(bad);
+    EXPECT_THROW(decode(bad), ProtocolError);
+    std::size_t consumed = 0;
+    EXPECT_THROW(try_extract(bad, consumed), ProtocolError);
+    Frame f = req;
+    f.status = static_cast<Status>(0x0100);
+    EXPECT_THROW(encode(f), ProtocolError);
+  }
   {  // truncated: shorter than header + CRC
     const std::vector<std::uint8_t> bytes = encode(req);
     EXPECT_THROW(decode(std::span(bytes).first(kHeaderBytes - 1)), ProtocolError);

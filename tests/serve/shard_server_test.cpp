@@ -2,10 +2,9 @@
 // accept fan-out in process, SO_REUSEPORT over TCP) feeding per-shard
 // admission lanes of one shared registry must stay bit-identical to a
 // direct runtime::Session across the paper format grid, survive hot swaps
-// under cross-shard in-flight traffic, drain every shard on stop(), apply
-// connection / in-flight admission caps with a clean kOverloaded status,
-// and expose a metrics page whose field set is pinned here — both in-band
-// (kMetricsRequest) and via the side TCP listener.
+// under cross-shard in-flight traffic, drain every shard on stop(), and
+// expose a metrics page whose field set is pinned here, also through the
+// side TCP listener.
 
 #include "serve/server.hpp"
 
@@ -256,57 +255,6 @@ TEST(ShardServer, StopDrainsEveryShardNoRequestUnanswered) {
   }
 }
 
-// --- admission control --------------------------------------------------------
-
-TEST(ShardServer, ConnectionCapAnswersOverloadedThenCloses) {
-  const auto model =
-      runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
-  ServerOptions opts = sharded_options(1);
-  opts.tcp_port = 0;
-  opts.max_connections_per_shard = 2;
-  Server server(model, opts);
-
-  const std::vector<double> xs = random_rows(1, model->input_dim(), 5);
-  Client first = connect_tcp(server.tcp_port(), model);
-  Client second = connect_tcp(server.tcp_port(), model);
-  // Admission is judged when the connection registers with the loop, so pin
-  // the first two down with a round trip each before over-subscribing.
-  EXPECT_EQ(first.forward_bits(std::span<const double>(xs)).status, Status::kOk);
-  EXPECT_EQ(second.forward_bits(std::span<const double>(xs)).status, Status::kOk);
-
-  Client third = connect_tcp(server.tcp_port(), model);
-  const Reply rejected = third.forward_bits(std::span<const double>(xs));
-  EXPECT_EQ(rejected.status, Status::kOverloaded);
-  EXPECT_TRUE(rejected.bits.empty());
-  // A clean close follows the rejection (EOF, not a reset mid-frame).
-  EXPECT_FALSE(third.receive_frame().has_value());
-
-  // The capped connections keep working, and the rejection was counted.
-  EXPECT_EQ(first.forward_bits(std::span<const double>(xs)).status, Status::kOk);
-  EXPECT_GE(server.stats().overloaded, 1u);
-}
-
-TEST(ShardServer, InFlightCapRejectsPipelinedExcessWithOverloaded) {
-  const auto model =
-      runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
-  ServerOptions opts;
-  opts.shards = 1;
-  opts.batcher.max_batch = 64;
-  opts.batcher.max_wait = 500ms;  // park the first request in the batcher
-  opts.max_inflight_per_connection = 1;
-  Server server(model, opts);
-
-  const std::vector<double> xs = random_rows(1, model->input_dim(), 9);
-  Client client = server.connect();
-  const std::uint64_t id1 = client.send(std::span<const double>(xs));
-  const std::uint64_t id2 = client.send(std::span<const double>(xs));
-  // The second request arrives while the first is parked in the (500 ms)
-  // batcher window, over the in-flight budget of 1.
-  EXPECT_EQ(client.receive(id2).status, Status::kOverloaded);
-  EXPECT_EQ(client.receive(id1).status, Status::kOk);
-  EXPECT_EQ(server.stats().overloaded, 1u);
-}
-
 // --- metrics -----------------------------------------------------------------
 
 TEST(ShardServer, MetricsPageFieldSetIsPinned) {
@@ -335,8 +283,7 @@ TEST(ShardServer, MetricsPageFieldSetIsPinned) {
   for (const char* base :
        {"dp_shard_connections", "dp_shard_frames_in", "dp_shard_frames_out",
         "dp_shard_bad_frames", "dp_shard_bad_requests", "dp_shard_not_found",
-        "dp_shard_dropped", "dp_shard_overloaded", "dp_shard_rate_limited",
-        "dp_shard_metrics_scrapes"}) {
+        "dp_shard_dropped", "dp_shard_overloaded", "dp_shard_metrics_scrapes"}) {
     for (const char* shard : {"0", "1"}) {
       const std::string key = std::string(base) + "{shard=\"" + shard + "\"}";
       EXPECT_TRUE(m.count(key)) << "missing per-shard metric " << key;
@@ -357,44 +304,6 @@ TEST(ShardServer, MetricsPageFieldSetIsPinned) {
             6.0);
   EXPECT_EQ(m.at("dp_model_completed{model=\"default\"}"), 6.0);
   EXPECT_GT(m.at("dp_uptime_seconds"), 0.0);
-}
-
-TEST(ShardServer, InBandMetricsRequestReturnsTheSamePage) {
-  const auto model =
-      runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
-  Server server(model, sharded_options(2));
-  const std::vector<double> xs = random_rows(1, model->input_dim(), 19);
-  Client client = server.connect();
-  ASSERT_EQ(client.forward_bits(std::span<const double>(xs)).status, Status::kOk);
-
-  const std::string text = client.metrics();
-  ASSERT_EQ(text.rfind("# dp_serve metrics v1\n", 0), 0u);
-  const std::map<std::string, double> m = parse_metrics(text);
-  EXPECT_EQ(m.at("dp_requests_total"), 1.0);  // the scrape itself is not a request row
-  EXPECT_EQ(m.at("dp_shards"), 2.0);
-  // The scrape frame was counted as a frame and as a scrape.
-  EXPECT_EQ(server.stats().metrics_scrapes, 1u);
-
-  // The connection stays usable for inference after a scrape.
-  EXPECT_EQ(client.forward_bits(std::span<const double>(xs)).status, Status::kOk);
-}
-
-TEST(ShardServer, MetricsRequestWithPayloadIsBadRequest) {
-  const auto model =
-      runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
-  Server server(model, sharded_options(1));
-  Client client = server.connect();
-
-  Frame frame;
-  frame.version = kProtocolV1;
-  frame.type = FrameType::kMetricsRequest;
-  frame.request_id = 99;
-  frame.payload = {1, 2, 3};  // a metrics request carries no payload
-  client.send_frame(frame);
-  const std::optional<Frame> resp = client.receive_frame();
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->status, Status::kBadRequest);
-  EXPECT_EQ(resp->request_id, 99u);
 }
 
 TEST(ShardServer, SideMetricsListenerServesPlaintextAndCloses) {
