@@ -1,4 +1,4 @@
-// Batched inference throughput and latency of the runtime Model/Session API
+// Batched inference throughput of the runtime Model/Session API
 // (persistent worker pool, contiguous zero-copy batches), for the 8-bit
 // format families, on both inference paths (the register-blocked
 // multi-sample kernels and the paper's per-MAC step() recurrence), with the
@@ -9,28 +9,17 @@
 // engineering bench for the batch engine (no paper counterpart; the paper
 // reports per-inference hardware latency, see bench_latency).
 //
-// Two modes, each dumped as machine-readable JSON so CI can archive one
-// artifact per commit and track the perf trajectory PR-over-PR:
-//
-//  * throughput (default): inferences/sec of Session::predict vs pool size,
-//    best-of-N timed repetitions over one large batch. The Session (and its
-//    pool) persists across repetitions, so no repetition pays a thread
-//    spawn.
-//    -> BENCH_throughput.json
-//  * latency (--latency): per-submit wall-time distribution (p50/p99/mean)
-//    across repeated submits per batch size on one persistent Session — the
-//    serving-side tail-latency view.
-//    -> BENCH_latency.json
+// It measures inferences/sec of Session::predict vs pool size, best-of-N
+// timed repetitions over one large batch, and dumps them as machine-readable
+// JSON (BENCH_throughput.json) so CI can archive one artifact per commit. The
+// Session (and its pool) persists across repetitions, so no repetition pays
+// a thread spawn. Per-submit latency is perfbench's runtime.forward_us.b1/.b16.
 //
 // Usage: bench_batch_throughput [rows] [repeats] [json_path]
 //          rows      batch size (default 256)
 //          repeats   timed repetitions per point, best-of (default 3)
 //          json_path output JSON file, "-" to disable (default BENCH_throughput.json)
-//        bench_batch_throughput --latency [iters] [json_path]
-//          iters     timed submits per batch size (default 200)
-//          json_path output JSON file, "-" to disable (default BENCH_latency.json)
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -41,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/percentile.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
@@ -168,7 +156,7 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
     std::string lf_json = "[";
     for (std::size_t li = 0; li < asn.size(); ++li) {
       if (li != 0) lf_json += ", ";
-      lf_json += "\"" + asn[li].name() + "\"";
+      lf_json.append("\"").append(asn[li].name()).append("\"");
     }
     lf_json += "]";
     const std::vector<double> flat = random_batch(rows, net.input_dim());
@@ -243,121 +231,15 @@ int run_throughput(std::size_t rows, int repeats, const std::string& json_path) 
   return paths_bit_identical ? 0 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// latency mode
-// ---------------------------------------------------------------------------
-
-struct LatencyPoint {
-  std::string format;
-  std::size_t batch;
-  std::size_t threads;
-  double p50_us;
-  double p99_us;
-  double mean_us;
-  double inferences_per_s;
-};
-
-void write_latency_json(const std::string& path, int iters, std::size_t threads,
-                        const std::vector<LatencyPoint>& points) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"bench_batch_throughput\",\n");
-  std::fprintf(f, "  \"mode\": \"latency\",\n");
-  std::fprintf(f, "  \"net\": \"%s\",\n", kNetName);
-  std::fprintf(f, "  \"iters\": %d,\n", iters);
-  std::fprintf(f, "  \"threads\": %zu,\n", threads);
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const LatencyPoint& p = points[i];
-    std::fprintf(f,
-                 "    {\"format\": \"%s\", \"batch\": %zu, \"threads\": %zu, "
-                 "\"p50_us\": %.2f, \"p99_us\": %.2f, \"mean_us\": %.2f, "
-                 "\"inferences_per_s\": %.1f}%s\n",
-                 p.format.c_str(), p.batch, p.threads, p.p50_us, p.p99_us, p.mean_us,
-                 p.inferences_per_s, i + 1 == points.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-int run_latency(int iters, const std::string& json_path) {
-  const nn::Mlp net = bench_net();
-  const std::vector<num::Format> formats{num::Format{num::PositFormat{8, 0}},
-                                         num::Format{num::FixedFormat{8, 6}}};
-  const std::vector<std::size_t> batch_sizes{1, 8, 64, 256};
-  const std::size_t threads =
-      std::min<std::size_t>(8, std::max(1u, std::thread::hardware_concurrency()));
-
-  std::printf("bench_batch_throughput --latency: per-submit wall time, net %s\n", kNetName);
-  std::printf("pool = %zu threads (persistent), %d submits per point\n\n", threads, iters);
-
-  std::vector<LatencyPoint> points;
-  for (const num::Format& fmt : formats) {
-    // One Session per format, reused for every batch size and submit: the
-    // pool threads are created here, once, and only woken per submit.
-    runtime::SessionOptions so;
-    so.num_threads = threads;
-    runtime::Session session(runtime::Model::create(nn::quantize(net, fmt)), so);
-    std::printf("%s\n", fmt.name().c_str());
-    std::printf("  %8s  %10s  %10s  %10s  %14s\n", "batch", "p50 us", "p99 us", "mean us",
-                "inferences/s");
-    for (const std::size_t batch : batch_sizes) {
-      const std::vector<double> flat = random_batch(batch, net.input_dim());
-      const runtime::BatchView xs(flat, net.input_dim());
-      session.predict(xs);  // warm-up (first touch of result allocation sizes)
-      std::vector<double> us;
-      us.reserve(static_cast<std::size_t>(iters));
-      double total = 0;
-      for (int i = 0; i < iters; ++i) {
-        const auto t0 = Clock::now();
-        const auto out = session.predict(xs);
-        const std::chrono::duration<double, std::micro> dt = Clock::now() - t0;
-        if (out.size() != batch) {
-          std::fprintf(stderr, "FAIL: predict returned %zu results for a %zu-row batch\n",
-                       out.size(), batch);
-          return 1;
-        }
-        us.push_back(dt.count());
-        total += dt.count();
-      }
-      std::sort(us.begin(), us.end());
-      const double p50 = core::percentile(us, 50), p99 = core::percentile(us, 99);
-      const double mean = total / static_cast<double>(iters);
-      const double ips = static_cast<double>(batch) / (mean * 1e-6);
-      std::printf("  %8zu  %10.2f  %10.2f  %10.2f  %14.1f\n", batch, p50, p99, mean, ips);
-      points.push_back({fmt.name(), batch, threads, p50, p99, mean, ips});
-    }
-    std::printf("\n");
-  }
-  if (json_path != "-") write_latency_json(json_path, iters, threads, points);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--latency") == 0) {
-    const int iters = argc > 2 ? std::atoi(argv[2]) : 200;
-    const std::string json_path = argc > 3 ? argv[3] : "BENCH_latency.json";
-    if (iters <= 0) {
-      std::fprintf(stderr, "usage: bench_batch_throughput --latency [iters>0] [json|-]\n");
-      return 2;
-    }
-    return run_latency(iters, json_path);
-  }
   const long long rows_arg = argc > 1 ? std::strtoll(argv[1], nullptr, 10) : 256;
   const int repeats = argc > 2 ? std::atoi(argv[2]) : 3;
   const std::string json_path = argc > 3 ? argv[3] : "BENCH_throughput.json";
   if (rows_arg <= 0 || rows_arg > 10'000'000 || repeats <= 0) {
     std::fprintf(stderr,
-                 "usage: bench_batch_throughput [rows 1..10000000] [repeats>0] [json|-]\n"
-                 "       bench_batch_throughput --latency [iters>0] [json|-]\n");
+                 "usage: bench_batch_throughput [rows 1..10000000] [repeats>0] [json|-]\n");
     return 2;
   }
   return run_throughput(static_cast<std::size_t>(rows_arg), repeats, json_path);

@@ -21,8 +21,9 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Compact a connection's read buffer once this much parsed prefix
 /// accumulates (otherwise only when it empties).
 constexpr std::size_t kCompactAt = 64 * 1024;
-/// Loop tick while responses are queued but unsendable (socket full) or a
-/// stop is in progress: bounds how stale a write-stall verdict can be.
+/// Loop tick while responses are queued but unsendable (socket full), a
+/// listener is backing off, or a stop is in progress: bounds how stale a
+/// write-stall verdict, a backoff or a stop can get.
 constexpr int kTickMs = 20;
 
 void append_counter(std::string& out, const char* name, const std::string& labels,
@@ -44,13 +45,29 @@ void append_gauge(std::string& out, const char* name, const std::string& labels,
   out += '\n';
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Server — construction / lifecycle
-// ---------------------------------------------------------------------------
-
-namespace {
+/// Build and encode one response frame. `encoding` mirrors the request's: a
+/// kOk response to a compressed (v4) request is itself a compressed v4 frame,
+/// entropy-coded at `width` bits per symbol. Everything else — raw requests,
+/// and every error status, which has no payload to compress — stays a plain
+/// v1 frame, so older clients and raw-only observers never see a v4 byte.
+std::vector<std::uint8_t> encode_response(std::uint64_t id, Status status,
+                                          std::span<const std::uint32_t> bits = {},
+                                          std::uint8_t encoding = kPayloadEncodingRaw,
+                                          int width = 0) {
+  Frame frame;
+  if (status == Status::kOk && encoding == kPayloadEncodingCodec) {
+    frame.version = kProtocolV4;
+    frame.payload_encoding = kPayloadEncodingCodec;
+    frame.payload = codec::encode_payload(bits, width);
+  } else {
+    frame.version = kProtocolV1;  // responses to raw requests are v1 (see protocol.hpp)
+    frame.payload.assign(bits.begin(), bits.end());
+  }
+  frame.type = FrameType::kResponse;
+  frame.status = status;
+  frame.request_id = id;
+  return encode(frame);
+}
 
 std::size_t resolve_shards(std::size_t requested) {
   if (requested != 0) return requested;
@@ -77,6 +94,10 @@ std::unique_ptr<ModelRegistry> make_default_registry(
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Server — construction / lifecycle
+// ---------------------------------------------------------------------------
+
 Server::Server(std::shared_ptr<const runtime::Model> model, ServerOptions opts)
     : Server(make_default_registry(std::move(model), opts.batcher, resolve_shards(opts.shards)),
              nullptr, opts) {}
@@ -89,48 +110,47 @@ Server::Server(std::unique_ptr<ModelRegistry> owned, ModelRegistry* external,
     : registry_(external != nullptr ? external : owned.get()),
       owned_registry_(std::move(owned)),
       write_timeout_(opts.write_timeout),
-      max_write_queue_bytes_(opts.max_write_queue_bytes),
       start_(Clock::now()) {
+  if (write_timeout_.count() <= 0) {
+    throw std::invalid_argument("serve::Server: write_timeout must be positive");
+  }
   const std::size_t n = resolve_shards(opts.shards);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto sh = std::make_unique<Shard>();
     sh->index = i;
+    auto [wake_r, wake_w] = local_stream_pair();
+    sh->wake_r = std::move(wake_r);
+    sh->wake_w = std::move(wake_w);
+    sh->wake_r.set_nonblocking(true);
+    sh->wake_w.set_nonblocking(true);
+    sh->listeners.push_back({std::make_unique<LocalTransport>()});
+    if (opts.tcp_port) {
+      // Shard 0 binds (resolving an ephemeral request); the rest join the
+      // same port via SO_REUSEPORT, so the kernel hashes inbound connections
+      // across the shard listeners with no user-space accept coordination.
+      auto tcp = std::make_unique<TcpTransport>(i == 0 ? *opts.tcp_port : tcp_port_, 128, n > 1);
+      if (i == 0) tcp_port_ = tcp->port();
+      sh->listeners.push_back({std::move(tcp)});
+    }
     shards_.push_back(std::move(sh));
   }
-  if (opts.tcp_port) {
-    // Shard 0 binds (resolving an ephemeral request); the rest join the
-    // same port via SO_REUSEPORT, so the kernel hashes inbound connections
-    // across the shard listeners with no user-space accept coordination.
-    shards_[0]->tcp = std::make_unique<TcpTransport>(*opts.tcp_port, 128, n > 1);
-    tcp_port_ = shards_[0]->tcp->port();
-    for (std::size_t i = 1; i < n; ++i) {
-      shards_[i]->tcp = std::make_unique<TcpTransport>(tcp_port_, 128, true);
-    }
-  }
   if (opts.metrics_port) {
-    shards_[0]->metrics = std::make_unique<TcpTransport>(*opts.metrics_port);
-    metrics_port_ = shards_[0]->metrics->port();
+    auto metrics = std::make_unique<TcpTransport>(*opts.metrics_port);
+    metrics_port_ = metrics->port();
+    shards_[0]->listeners.push_back({std::move(metrics), true});
   }
-  for (auto& sh : shards_) start_loop(*sh);
+  for (auto& sh : shards_) {
+    sh->loop = std::thread([this, &sh = *sh] {
+      loop_main(sh);
+      sh.listeners.clear();  // nobody accepts any more: refuse late connects
+    });
+  }
 }
 
 Server::~Server() { stop(); }
 
-void Server::start_loop(Shard& sh) {
-  auto [r, w] = local_stream_pair();
-  sh.wake_r = std::move(r);
-  sh.wake_w = std::move(w);
-  sh.wake_r.set_nonblocking(true);
-  sh.wake_w.set_nonblocking(true);
-  sh.loop = std::thread([this, &sh] { loop_main(sh); });
-}
-
 void Server::wake(Shard& sh) {
-  // Inline completions (rejections, routing errors) run on the loop thread
-  // itself, which flushes write queues before it next sleeps — waking it
-  // would only buy a redundant syscall and a spurious poll iteration.
-  if (std::this_thread::get_id() == sh.tid.load()) return;
   const char byte = 1;
   // If the pipe is full the loop has plenty to wake up for already.
   (void)sh.wake_w.write_some(&byte, 1);
@@ -148,7 +168,7 @@ void Server::stop() {
   }
   // Phase 1 — drain. New requests read from here on get kShutdown; every
   // request already accepted by a batcher lane is flushed through its
-  // Session and its response enqueued (ModelRegistry::shutdown_all returns
+  // Session and its response posted (ModelRegistry::shutdown_all returns
   // only after every dispatcher joined, i.e. after every completion
   // callback fired).
   draining_.store(true);
@@ -184,10 +204,11 @@ Client Server::connect(const std::string& model_name) {
       throw std::invalid_argument("serve::Server: connect() to unknown model '" +
                                   model_name + "'");
     }
-    // Deal in-process connections round-robin: the accept fan-out for the
-    // transport that has no kernel to spread it.
+    // Deal in-process connections round-robin onto the shards' LocalTransports
+    // (listeners[0]), the accept fan-out for the transport that has no kernel
+    // to spread it. The push wakes that shard.
     Shard& sh = *shards_[next_shard_++ % shards_.size()];
-    sh.local.push(std::move(server_end));  // wakes that shard; it accepts + registers
+    static_cast<LocalTransport&>(*sh.listeners[0].transport).push(std::move(server_end));
   }
   return Client(std::move(model), std::move(client_end), model_name);
 }
@@ -280,377 +301,233 @@ void Server::bump(Shard& sh, std::uint64_t ShardStats::* counter) {
 // Server — event loops (one per shard)
 // ---------------------------------------------------------------------------
 
-void Server::accept_from(Shard& sh, Transport& transport,
-                         std::vector<std::shared_ptr<Conn>>& conns, bool metrics_conn) {
+void Server::accept_from(Shard& sh, const Listener& l,
+                         std::vector<std::shared_ptr<Conn>>& conns) {
   for (;;) {
-    FdStream stream = transport.accept();
+    FdStream stream = l.transport->accept();
     if (!stream.valid()) return;
-    // A connection that reaches us during stop is NOT silently dropped: it
-    // may have been dialed — and had requests pipelined onto it — before
-    // stop() began, and closing it unread would reset the peer. Admit it;
-    // the stopping loop's graceful-close sweep reads whatever it sent,
-    // answers each frame kShutdown, and ends the stream with a clean EOF
-    // within a tick or two.
+    // A connection that reaches us during stop is admitted, not dropped: it
+    // may carry requests pipelined before stop() began, and closing it
+    // unread would reset the peer. The stopping loop's final sweep answers
+    // them kShutdown and ends the stream with a clean EOF.
     stream.set_nonblocking(true);
     auto conn = std::make_shared<Conn>(std::move(stream));
-    conn->owner = &sh;
     conn->last_progress = Clock::now();
-    if (metrics_conn) {
+    if (l.metrics) {
       // One-shot scrape: the page is queued now, the read side is
       // short-circuited, and the graceful-close path closes the connection
       // the moment the queue flushes. No framing — nc/curl territory.
       conn->raw = true;
       conn->read_done = true;
       const std::string text = metrics_text();
-      conn->wq_bytes = text.size();
-      conn->wq.emplace_back(text.begin(), text.end());
-      bump(sh, &ShardStats::metrics_scrapes);
-    } else {
-      bump(sh, &ShardStats::connections);
+      conn->push({text.begin(), text.end()});
     }
+    bump(sh, l.metrics ? &ShardStats::metrics_scrapes : &ShardStats::connections);
     conns.push_back(std::move(conn));
   }
 }
 
+void Server::close_conn(Shard& sh, Conn& conn, bool dropped) {
+  conn.stream.shutdown_both();
+  conn.stream.close();
+  conn.wq.clear();
+  if (dropped) bump(sh, &ShardStats::dropped);
+}
+
 void Server::loop_main(Shard& sh) {
-  sh.tid.store(std::this_thread::get_id());
+  sh.chunk.resize(kReadChunk);
   std::vector<std::shared_ptr<Conn>> conns;
+  std::vector<Completion> done;
   std::vector<pollfd> pfds;
-  std::vector<std::uint8_t> chunk(kReadChunk);
-
-  // When the loop exits nobody accepts anymore: close this shard's
-  // listeners so a late connect is refused instead of parked in the kernel
-  // backlog.
-  struct ListenerGuard {
-    Shard& sh;
-    ~ListenerGuard() {
-      sh.tcp.reset();
-      sh.metrics.reset();
-    }
-  } guard{sh};
-
-  // While accept(2) is failing on resource exhaustion, the backlog keeps the
-  // listener readable; excluding it from the poll set until this deadline is
-  // what turns a 100%-CPU spin into a periodic retry.
-  Clock::time_point tcp_backoff{};
-  Clock::time_point metrics_backoff{};
 
   for (;;) {
     const bool stopping = stopping_.load();
-    const auto iter_now = Clock::now();
 
-    // --- build the poll set -----------------------------------------------
+    // --- poll set (poll(2) ignores a negative fd: a listener's backoff) -----
+    int timeout = stopping ? kTickMs : -1;
     pfds.clear();
     pfds.push_back({sh.wake_r.fd(), POLLIN, 0});
-    pfds.push_back({sh.local.readiness_fd(), POLLIN, 0});
-    const bool poll_tcp = sh.tcp != nullptr && iter_now >= tcp_backoff;
-    std::size_t idx_tcp = 0;
-    if (poll_tcp) {
-      idx_tcp = pfds.size();
-      pfds.push_back({sh.tcp->readiness_fd(), POLLIN, 0});
-    }
-    const bool poll_metrics = sh.metrics != nullptr && iter_now >= metrics_backoff;
-    std::size_t idx_metrics = 0;
-    if (poll_metrics) {
-      idx_metrics = pfds.size();
-      pfds.push_back({sh.metrics->readiness_fd(), POLLIN, 0});
+    for (const Listener& l : sh.listeners) {
+      const bool parked = Clock::now() < l.backoff;
+      if (parked) timeout = kTickMs;
+      pfds.push_back({parked ? -1 : l.transport->readiness_fd(), POLLIN, 0});
     }
     const std::size_t base = pfds.size();
-    bool any_wq = false;
     for (const std::shared_ptr<Conn>& conn : conns) {
       short events = 0;
       if (!conn->read_done && !stopping) events |= POLLIN;
-      {
-        std::lock_guard<std::mutex> lk(conn->m);
-        if (!conn->wq.empty()) {
-          events |= POLLOUT;
-          any_wq = true;
-        }
+      if (!conn->wq.empty()) {
+        events |= POLLOUT;
+        timeout = kTickMs;
       }
       pfds.push_back({conn->stream.fd(), events, 0});
     }
 
-    int timeout = (stopping || any_wq) ? kTickMs : -1;
-    const bool parked = (sh.tcp != nullptr && !poll_tcp) ||
-                        (sh.metrics != nullptr && !poll_metrics);
-    if (parked && timeout < 0) timeout = kTickMs;  // resume the listener
-    const int rc = ::poll(pfds.data(), pfds.size(), timeout);
-    if (rc < 0 && errno != EINTR) {
+    if (::poll(pfds.data(), pfds.size(), timeout) < 0 && errno != EINTR) {
       // Unrecoverable poll failure (should not happen): die visibly. Marking
       // the server stopped makes later connect() calls throw instead of
-      // handing out Clients nobody will ever accept, and every live
-      // connection runs the normal drop protocol so late batcher callbacks
-      // discard their responses instead of queueing into orphaned buffers.
-      for (const std::shared_ptr<Conn>& conn : conns) {
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          conn->closed = true;
-          conn->wq.clear();
-          conn->wq_bytes = 0;
-          conn->wq_front_off = 0;
-        }
-        conn->stream.shutdown_both();
-        conn->stream.close();
-      }
-      {
-        std::lock_guard<std::mutex> lk(sh.m);
-        sh.counters.dropped += conns.size();
-      }
+      // handing out Clients nobody will ever accept.
+      for (const std::shared_ptr<Conn>& conn : conns) close_conn(sh, *conn, true);
       std::lock_guard<std::mutex> lk(m_);
       stopped_ = true;
       draining_.store(true);
       return;
     }
 
-    // --- wakeups and new connections --------------------------------------
+    // --- wakeups, completions, new connections ----------------------------
+    // Drain the wake pipe before taking the inbox, never after: a completion
+    // posted in between would have its wake byte swallowed and sit in the
+    // inbox until something else woke the loop.
     if (pfds[0].revents != 0) {
       char drain[256];
       while (sh.wake_r.read_some(drain, sizeof(drain)) > 0) {
       }
     }
-    if (pfds[1].revents != 0) {
-      try {
-        accept_from(sh, sh.local, conns, false);
-      } catch (const TransportError&) {
-        // A connection we failed to register is simply lost (its FdStream
-        // closed); the loop itself must survive.
-      }
+    {
+      std::lock_guard<std::mutex> lk(sh.m);
+      done.swap(sh.inbox);
     }
-    if (poll_tcp && pfds[idx_tcp].revents != 0) {
-      try {
-        accept_from(sh, *sh.tcp, conns, false);
-      } catch (const TransportError&) {
-        // Out of fds (or similar): park the listener and retry shortly.
-        tcp_backoff = Clock::now() + std::chrono::milliseconds(200);
-      }
+    for (Completion& c : done) {
+      --c.conn->outstanding;
+      if (c.conn->stream.valid()) c.conn->push(std::move(c.bytes));  // else dropped: discard
     }
-    if (poll_metrics && pfds[idx_metrics].revents != 0) {
+    done.clear();
+    for (std::size_t i = 0; i < sh.listeners.size(); ++i) {
+      if (pfds[1 + i].revents == 0) continue;
       try {
-        accept_from(sh, *sh.metrics, conns, true);
+        accept_from(sh, sh.listeners[i], conns);
       } catch (const TransportError&) {
-        metrics_backoff = Clock::now() + std::chrono::milliseconds(200);
+        // Out of fds (or similar): the connection being registered is lost
+        // (its FdStream closed); park the listener and retry shortly.
+        sh.listeners[i].backoff = Clock::now() + std::chrono::milliseconds(200);
       }
     }
 
     // --- per-connection readiness (only the conns present in this poll set;
     // fresh accepts join the next iteration) --------------------------------
-    const std::size_t present = pfds.size() - base;
-    std::size_t out = 0;  // compaction write cursor over conns[0..present)
     const auto now = Clock::now();
-    for (std::size_t i = 0; i < present; ++i) {
+    for (std::size_t i = 0; i < pfds.size() - base; ++i) {
       const std::shared_ptr<Conn>& conn = conns[i];
       const short revents = pfds[base + i].revents;
       bool alive = true;
 
       // Read side. POLLHUP can still have readable bytes queued ahead of the
       // EOF, so treat it as readable and let read_some report the 0.
-      if (alive && !conn->read_done && !stopping &&
-          (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        try {
-          const ssize_t n = conn->stream.read_some(chunk.data(), chunk.size());
-          if (n == 0) {
-            conn->read_done = true;
-          } else if (n > 0) {
-            conn->rbuf.insert(conn->rbuf.end(), chunk.begin(), chunk.begin() + n);
-            alive = drain_rbuf(sh, conn);  // false = framing error: drop
-            if (!alive) bump(sh, &ShardStats::bad_frames);
-          }
-        } catch (const TransportError&) {
-          alive = false;  // reset under us
-        }
+      if (!conn->read_done && !stopping && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        alive = read_conn(sh, conn, false);
       }
 
-      // A peer that is fully gone (POLLHUP/POLLERR after we already read its
-      // EOF). If everything was served and flushed this is just a clean
-      // disconnect (e.g. an in-process Client destroyed — AF_UNIX reports
-      // POLLHUP on peer close). Otherwise the remaining work is
-      // undeliverable, and keeping the connection while a batcher callback
-      // is still outstanding would make poll(2) — which reports these
-      // conditions regardless of the events mask — return immediately
-      // forever, spinning the loop: drop it. (outstanding is read before
-      // the queue: callbacks enqueue before they decrement.)
-      if (alive && conn->read_done &&
-          (revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        const bool idle = conn->outstanding.load() == 0;
-        bool wq_empty = false;
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          wq_empty = conn->wq.empty();
-        }
-        if (idle && wq_empty) {
-          conn->stream.shutdown_both();
-          conn->stream.close();
-          continue;  // clean disconnect, not a drop
-        }
+      // A peer that is fully gone (POLLHUP/POLLERR after its EOF) with work
+      // still pending: the work is undeliverable, and poll(2) reports these
+      // conditions regardless of the events mask, so keeping it would spin
+      // the loop: drop it. A fully served one (e.g. an in-process Client
+      // destroyed) closes cleanly below.
+      if (conn->read_done && (revents & (POLLHUP | POLLERR | POLLNVAL)) != 0 &&
+          (conn->outstanding > 0 || !conn->wq.empty())) {
         alive = false;
       }
 
-      // Write side.
-      if (alive) alive = flush_writes(sh, conn);
-
-      // Stall / overflow verdicts.
-      if (alive) {
-        bool has_wq = false, overflow = false;
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          has_wq = !conn->wq.empty();
-          overflow = conn->overflow;
-        }
-        if (overflow) {
-          alive = false;
-        } else if (!has_wq) {
-          conn->last_progress = now;
-          // Fully served and finished: graceful close once nothing is in
-          // flight. stop() forces the same path for every connection. Order
-          // matters: a completion callback enqueues its response BEFORE
-          // decrementing `outstanding`, so reading outstanding==0 first and
-          // re-checking the queue afterwards can never miss a response that
-          // landed between the two reads (the reverse order could).
-          if ((conn->read_done || stopping) && conn->outstanding.load() == 0) {
-            bool still_empty = false;
-            {
-              std::lock_guard<std::mutex> lk(conn->m);
-              still_empty = conn->wq.empty();
-            }
-            if (still_empty && !conn->read_done) {
-              // stop() parks the read side, so requests pipelined before the
-              // stop may still sit unread in the kernel buffer. close(2) on
-              // a stream socket with unread receive data resets the peer —
-              // destroying responses it has not yet consumed — and silently
-              // discarding the bytes would leave those requests unanswered
-              // (the client would see a clean EOF where a reply belongs).
-              // One final sweep decodes whatever already arrived;
-              // handle_request's draining_ path answers each frame with
-              // kShutdown. The read side is then done for good, preserving
-              // stop()'s termination bound against a client that keeps
-              // sending.
-              try {
-                ssize_t n;
-                while ((n = conn->stream.read_some(chunk.data(), chunk.size())) > 0) {
-                  conn->rbuf.insert(conn->rbuf.end(), chunk.begin(), chunk.begin() + n);
-                  if (!drain_rbuf(sh, conn)) break;  // framing error: close anyway
-                }
-              } catch (const TransportError&) {
-                // Reset under us: nothing left to answer; close below.
-              }
-              conn->read_done = true;
-              {
-                std::lock_guard<std::mutex> lk(conn->m);
-                still_empty = conn->wq.empty();
-              }
-              // If the sweep enqueued kShutdown replies, fall through: the
-              // connection is kept, flushed on the next tick, then closed.
-            }
-            if (still_empty) {
-              conn->stream.shutdown_both();
-              conn->stream.close();
-              continue;  // not kept
-            }
-          }
-        } else {
-          // Stall verdict. write_timeout 0 disables it in steady state, but
-          // stop() must still terminate: a non-reading client would
-          // otherwise pin the drain (and ~Server) forever, so the stopping
-          // phase falls back to a bounded grace period.
-          auto bound = write_timeout_;
-          if (bound.count() == 0 && stopping) bound = std::chrono::milliseconds(5000);
-          if (bound.count() > 0 && now - conn->last_progress > bound) {
-            alive = false;  // peer stopped reading
-          }
-        }
-      }
+      // Write side, under the byte bound.
+      alive = alive && conn->wq_bytes <= kMaxWriteQueueBytes && flush_writes(sh, *conn);
 
       if (!alive) {
-        // Drop: discard queued responses, poison future enqueues, close.
-        {
-          std::lock_guard<std::mutex> lk(conn->m);
-          conn->closed = true;
-          conn->wq.clear();
-          conn->wq_bytes = 0;
-          conn->wq_front_off = 0;
+        close_conn(sh, *conn, true);
+      } else if (!conn->wq.empty()) {
+        if (now - conn->last_progress > write_timeout_) {
+          close_conn(sh, *conn, true);  // peer stopped reading
         }
-        conn->stream.shutdown_both();
-        conn->stream.close();
-        bump(sh, &ShardStats::dropped);
-        continue;  // not kept
+      } else {
+        conn->last_progress = now;
+        // Fully served and finished: graceful close once nothing is in
+        // flight. stop() forces the same path for every connection.
+        if ((conn->read_done || stopping) && conn->outstanding == 0) {
+          if (!conn->read_done) {
+            // stop() parks the read side, so requests pipelined before it
+            // may sit unread, and close(2) with unread data would reset the
+            // peer, destroying responses it has not read yet. One final
+            // sweep answers them kShutdown (handle_request's draining_
+            // path); then reading is over, so a client that keeps sending
+            // cannot hold stop() up. A reset or framing error ends the sweep.
+            (void)read_conn(sh, conn, true);
+            conn->read_done = true;
+          }
+          // kShutdown replies from the sweep are flushed before the close.
+          if (conn->wq.empty()) close_conn(sh, *conn, false);
+        }
       }
-      conns[out++] = conn;
     }
-    // Keep the fresh accepts appended past `present`.
-    for (std::size_t i = present; i < conns.size(); ++i) conns[out++] = std::move(conns[i]);
-    conns.resize(out);
+    std::erase_if(conns, [](const std::shared_ptr<Conn>& c) { return !c->stream.valid(); });
 
     if (stopping && conns.empty()) return;
   }
 }
 
-bool Server::drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn) {
-  FrameTally tally;
+bool Server::read_conn(Shard& sh, const std::shared_ptr<Conn>& conn, bool all) {
+  ShardStats tally;  // folded in under one lock per call, never one per frame
   bool ok = true;
-  for (;;) {
-    const std::span<const std::uint8_t> avail(conn->rbuf.data() + conn->rbuf_head,
-                                              conn->rbuf.size() - conn->rbuf_head);
-    std::size_t consumed = 0;
-    std::optional<Frame> frame;
+  do {
+    ssize_t n = 0;
     try {
-      frame = try_extract(avail, consumed);
-    } catch (const ProtocolError&) {
-      ok = false;  // un-resyncable on a byte stream: caller drops the conn
+      n = conn->stream.read_some(sh.chunk.data(), sh.chunk.size());
+    } catch (const TransportError&) {
+      ok = false;  // reset under us
       break;
     }
-    if (!frame) break;
-    conn->rbuf_head += consumed;
-    ++tally.frames_in;
-    handle_request(sh, conn, std::move(*frame), tally);
-  }
-  // One stats lock per read chunk, not per frame (a pipelining client can
-  // deliver dozens of frames per chunk).
-  if (tally.frames_in > 0) {
+    if (n == 0) conn->read_done = true;
+    if (n <= 0) break;
+    conn->rbuf.insert(conn->rbuf.end(), sh.chunk.begin(), sh.chunk.begin() + n);
+    for (;;) {
+      const std::span<const std::uint8_t> avail(conn->rbuf.data() + conn->rbuf_head,
+                                                conn->rbuf.size() - conn->rbuf_head);
+      std::size_t consumed = 0;
+      std::optional<Frame> frame;
+      try {
+        frame = try_extract(avail, consumed);
+      } catch (const ProtocolError&) {
+        ++tally.bad_frames;  // un-resyncable on a byte stream
+        ok = false;
+        break;
+      }
+      if (!frame) break;
+      conn->rbuf_head += consumed;
+      ++tally.frames_in;
+      handle_request(sh, conn, std::move(*frame), tally);
+    }
+  } while (ok && all);
+  if (tally.frames_in + tally.bad_frames > 0) {
     std::lock_guard<std::mutex> lk(sh.m);
     sh.counters.frames_in += tally.frames_in;
+    sh.counters.bad_frames += tally.bad_frames;
     sh.counters.bad_requests += tally.bad_requests;
     sh.counters.not_found += tally.not_found;
   }
-  if (!ok) return false;
-  if (conn->rbuf_head == conn->rbuf.size()) {
-    conn->rbuf.clear();
-    conn->rbuf_head = 0;
-  } else if (conn->rbuf_head >= kCompactAt) {
+  if (conn->rbuf_head == conn->rbuf.size() || conn->rbuf_head >= kCompactAt) {
     conn->rbuf.erase(conn->rbuf.begin(),
                      conn->rbuf.begin() + static_cast<std::ptrdiff_t>(conn->rbuf_head));
     conn->rbuf_head = 0;
   }
-  return true;
+  return ok;
 }
 
 void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame frame,
-                            FrameTally& tally) {
+                            ShardStats& tally) {
   const std::uint64_t id = frame.request_id;
-  if (draining_.load()) {
-    enqueue_response(conn, id, Status::kShutdown, {});
-    return;
-  }
-  if (frame.type != FrameType::kRequest) {
-    ++tally.bad_requests;
-    enqueue_response(conn, id, Status::kBadRequest, {});
-    return;
-  }
+  // Answered here on the loop thread, so the reply goes straight onto the queue.
+  const auto reject = [&](Status status) {
+    if (status == Status::kBadRequest) ++tally.bad_requests;
+    if (status == Status::kNotFound) ++tally.not_found;
+    conn->push(encode_response(id, status));
+  };
+  if (draining_.load()) return reject(Status::kShutdown);
+  if (frame.type != FrameType::kRequest) return reject(Status::kBadRequest);
   // Route: v2/v4 by name, v1 (empty name) to the default entry. The lease
   // pins the entry so a concurrent hot swap waits for this submit to land,
   // then drains it on the old model — never drops it.
   ModelRegistry::Lease lease = registry_->acquire(frame.model);
-  if (!lease) {
-    // Re-check draining_: stop() may have emptied the registry between the
-    // check above and this lookup, and that must read as a shutdown, not as
-    // "your model does not exist".
-    if (draining_.load()) {
-      enqueue_response(conn, id, Status::kShutdown, {});
-      return;
-    }
-    ++tally.not_found;
-    enqueue_response(conn, id, Status::kNotFound, {});
-    return;
-  }
+  // Re-check draining_ on a miss: stop() may have emptied the registry
+  // since the check above, and that must read as a shutdown, not as "your
+  // model does not exist".
+  if (!lease) return reject(draining_.load() ? Status::kShutdown : Status::kNotFound);
   const std::size_t dim = lease->model->input_dim();
   // Requests carry INPUT-format patterns (the client's one encode rule);
   // replies carry OUTPUT-format patterns — for a mixed-precision model the
@@ -669,17 +546,11 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
     try {
       decoded = codec::decode_payload(frame.payload, fmt.total_bits(), dim);
     } catch (const codec::CodecError&) {
-      ++tally.bad_requests;
-      enqueue_response(conn, id, Status::kBadRequest, {});
-      return;
+      return reject(Status::kBadRequest);
     }
     patterns = decoded;
   }
-  if (patterns.size() != dim) {
-    ++tally.bad_requests;
-    enqueue_response(conn, id, Status::kBadRequest, {});
-    return;
-  }
+  if (patterns.size() != dim) return reject(Status::kBadRequest);
   // The wire carries the sample as format bit patterns; the Session
   // quantizes its input, and RNE quantization is idempotent on representable
   // values, so this decode->requantize round trip is exact.
@@ -693,7 +564,7 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
   if (frame.deadline_us > 0) {
     deadline = Clock::now() + std::chrono::microseconds(frame.deadline_us);
   }
-  conn->outstanding.fetch_add(1);
+  ++conn->outstanding;
   // Shard-private admission lane: no cross-shard contention on the submit
   // lock (lane() wraps modulo the entry's lane count, so an external
   // registry with fewer lanes than shards still routes correctly).
@@ -701,89 +572,46 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
   const int width = lease->model->output_format().total_bits();
   lease->lane(sh.index).submit(
       sh.x_scratch,
-      [this, conn, id, encoding, width](Status status, std::span<const std::uint32_t> bits) {
-        enqueue_response(conn, id, status, bits, encoding, width);
-        // Enqueue-then-decrement is the loop's close-check ordering contract.
-        // The last decrement must also wake the loop: if the loop flushed the
-        // response in the window between the two, it saw outstanding == 1 and
-        // parked with no events to wait for — without this wake a half-closed
-        // connection would never get its graceful close (EOF to the peer).
-        if (conn->outstanding.fetch_sub(1) == 1) wake(*conn->owner);
+      [&sh, conn, id, encoding, width](Status status, std::span<const std::uint32_t> bits) {
+        // Encode here, off the loop; only the loop touches conn itself. This
+        // runs on a dispatcher, or inline on the loop (an admission reject).
+        Completion c{conn, encode_response(id, status, bits, encoding, width)};
+        bool was_empty = false;
+        {
+          std::lock_guard<std::mutex> lk(sh.m);
+          was_empty = sh.inbox.empty();
+          sh.inbox.push_back(std::move(c));
+        }
+        if (was_empty) wake(sh);  // otherwise a wake is already pending
       },
       deadline);
 }
 
-void Server::enqueue_response(const std::shared_ptr<Conn>& conn, std::uint64_t id,
-                              Status status, std::span<const std::uint32_t> bits,
-                              std::uint8_t encoding, int width) {
-  Frame frame;
-  if (status == Status::kOk && encoding == kPayloadEncodingCodec) {
-    // Mirror the request's encoding: a compressed request earns a compressed
-    // v4 response. Error responses stay plain v1 even then — they carry no
-    // payload, so compression buys nothing and a raw-only observer can still
-    // read every failure on the wire.
-    frame.version = kProtocolV4;
-    frame.payload_encoding = kPayloadEncodingCodec;
-    frame.payload = codec::encode_payload(bits, width);
-  } else {
-    frame.version = kProtocolV1;  // responses to raw requests are v1 (see protocol.hpp)
-    frame.payload.assign(bits.begin(), bits.end());
-  }
-  frame.type = FrameType::kResponse;
-  frame.status = status;
-  frame.request_id = id;
-  std::vector<std::uint8_t> bytes = encode(frame);
-  {
-    std::lock_guard<std::mutex> lk(conn->m);
-    if (conn->closed) return;  // dropped connection: response discarded
-    conn->wq_bytes += bytes.size();
-    conn->wq.push_back(std::move(bytes));
-    if (conn->wq_bytes > max_write_queue_bytes_) conn->overflow = true;
-  }
-  wake(*conn->owner);
-}
-
-bool Server::flush_writes(Shard& sh, const std::shared_ptr<Conn>& conn) {
-  // Never hold conn->m across the send(2): dispatcher completion callbacks
-  // enqueue under the same mutex, and inference threads must not queue up
-  // behind socket I/O. Holding a pointer into the front frame without the
-  // lock is safe because only this (loop) thread ever pops or clears the
-  // queue, and deque push_back does not invalidate references to existing
-  // elements.
+bool Server::flush_writes(Shard& sh, Conn& conn) {
   std::size_t completed = 0;
   bool ok = true;
-  for (;;) {
-    const std::uint8_t* data = nullptr;
-    std::size_t remaining = 0;
-    {
-      std::lock_guard<std::mutex> lk(conn->m);
-      if (conn->wq.empty()) break;
-      const std::vector<std::uint8_t>& front = conn->wq.front();
-      data = front.data() + conn->wq_front_off;
-      remaining = front.size() - conn->wq_front_off;
-    }
+  while (!conn.wq.empty()) {
+    const std::vector<std::uint8_t>& front = conn.wq.front();
     ssize_t n = 0;
     try {
-      n = conn->stream.write_some(data, remaining);
+      n = conn.stream.write_some(front.data() + conn.wq_front_off,
+                                 front.size() - conn.wq_front_off);
     } catch (const TransportError&) {
       ok = false;  // peer vanished
       break;
     }
     if (n < 0) break;  // socket buffer full; POLLOUT will resume us
-    {
-      std::lock_guard<std::mutex> lk(conn->m);
-      conn->wq_front_off += static_cast<std::size_t>(n);
-      conn->wq_bytes -= static_cast<std::size_t>(n);
-      if (conn->wq_front_off == conn->wq.front().size()) {
-        conn->wq.pop_front();
-        conn->wq_front_off = 0;
-        ++completed;
-      }
+    conn.wq_front_off += static_cast<std::size_t>(n);
+    conn.wq_bytes -= static_cast<std::size_t>(n);
+    if (conn.wq_front_off == front.size()) {
+      conn.wq.pop_front();
+      conn.wq_front_off = 0;
+      ++completed;
     }
-    conn->last_progress = Clock::now();
+    conn.last_progress = Clock::now();
   }
   // Raw metrics scrapes are text, not frames; they don't count as frames_out.
-  if (completed > 0 && !conn->raw) {
+  if (completed > 0 && !conn.raw) {
     std::lock_guard<std::mutex> lk(sh.m);
     sh.counters.frames_out += completed;
   }

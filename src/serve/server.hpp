@@ -3,8 +3,8 @@
 // wire protocol, driven by N sharded poll(2) event loops.
 //
 // The server is split into `ServerOptions::shards` independent shards. Each
-// shard is one event-loop thread that OWNS its accept path and every
-// connection it accepted — fds, read buffers, write queues — end to end:
+// shard is one event-loop thread, and it is the only thread that touches the
+// connections it accepted — fds, read buffers, write queues:
 //
 //   * accept — in-process connections (Server::connect(), zero network, what
 //     CI leans on) are dealt round-robin onto the shards' LocalTransports;
@@ -15,24 +15,24 @@
 //   * read — per-connection read buffers accumulate bytes and frames are
 //     carved off incrementally (try_extract), so a thousand clients cost a
 //     thousand fds, not a thousand blocked reader threads;
-//   * write — responses are encoded on the completing dispatcher thread and
-//     queued onto the connection's bounded write queue; the owning shard
-//     flushes queues as sockets accept bytes, so a slow reader never blocks
-//     a dispatcher.
+//   * write — a dispatcher encodes each response on its own thread and posts
+//     it to the shard's completion inbox; the loop moves the inbox onto the
+//     connections' write queues once per iteration and flushes queues as
+//     sockets accept bytes, so a slow reader never blocks a dispatcher.
 //
 // All shards route through ONE shared ModelRegistry. Each registry entry
 // carries `lanes` independent DynamicBatchers (identical, over the one
 // immutable Model); shard s submits into lane s, so admission never
 // contends across shards, while hot swap/unload still drains every lane
-// before releasing an entry. The registry's lease pin works exactly as in
-// the single-loop design — a request that resolved an entry before a swap
-// lands in the old lanes and is answered from the old model. The single-model
-// constructor sizes its private registry's lanes to the shard count and
-// points every dispatcher Session at one shared runtime::WorkerPool, so N
-// shards never oversubscribe the machine with N private pools.
+// before releasing an entry. The registry's lease pin means a request that
+// resolved an entry before a swap lands in the old lanes and is answered
+// from the old model. The single-model constructor sizes its private
+// registry's lanes to the shard count and points every dispatcher Session at
+// one shared runtime::WorkerPool, so N shards never oversubscribe the
+// machine with N private pools.
 //
 // Two on-by-default bounds cap what a client can pin: the batcher's
-// queue_capacity (a full lane answers kQueueFull), and max_write_queue_bytes /
+// queue_capacity (a full lane answers kQueueFull), and kMaxWriteQueueBytes /
 // write_timeout (a connection whose write queue overflows, or makes no
 // progress because the peer stopped reading, is dropped and its remaining
 // responses discarded).
@@ -53,9 +53,9 @@
 // the feature count against that entry's model (mismatch -> kBadRequest
 // without touching the batcher), and submits into the entry's lane for this
 // shard while holding a registry lease. The completion callback (dispatcher
-// thread) encodes the response and queues it; responses to one connection
-// may complete out of request order and the echoed request id is what lets
-// the client demux them. A framing error (bad magic/CRC) is unrecoverable
+// thread) encodes the response and posts it to the shard; responses to one
+// connection may complete out of request order and the echoed request id is
+// what lets the client demux them. A framing error (bad magic/CRC) is unrecoverable
 // on a byte stream, so the shard drops that connection and counts it.
 //
 // Client threading contract mirrors runtime::Session: one Client is
@@ -86,6 +86,11 @@
 
 namespace dp::serve {
 
+/// Byte bound on one connection's queued-but-unsent responses; past it the
+/// connection is dropped. Together with ServerOptions::write_timeout this
+/// bounds the memory a non-reading client can pin.
+constexpr std::size_t kMaxWriteQueueBytes = 4u << 20;
+
 struct ServerOptions {
   /// Batcher of the implicit "default" entry the single-model constructor
   /// creates. Ignored by the registry constructor (each registry entry
@@ -93,21 +98,18 @@ struct ServerOptions {
   BatcherOptions batcher = {};
   /// A connection whose non-empty write queue makes no progress for this
   /// long counts as dead (the peer stopped reading): it is dropped and its
-  /// remaining responses discarded. 0 disables stall detection (the byte
-  /// bound below still applies).
+  /// remaining responses discarded. Must be positive (the constructor throws
+  /// std::invalid_argument otherwise); it also bounds how long stop() waits
+  /// on a client that stopped reading.
   std::chrono::milliseconds write_timeout{5000};
-  /// Byte bound on one connection's queued-but-unsent responses; past it the
-  /// connection is dropped. Together with write_timeout this bounds the
-  /// memory a non-reading client can pin.
-  std::size_t max_write_queue_bytes = 4u << 20;
   /// When set, also listen for real TCP clients on 127.0.0.1:tcp_port
   /// (0 = ephemeral; read the bound port back with Server::tcp_port()).
   /// With shards > 1 every shard gets its own SO_REUSEPORT listener on the
   /// same port.
   std::optional<std::uint16_t> tcp_port;
-  /// Event-loop shards. 1 keeps the original single-loop server; 0 resolves
-  /// to std::thread::hardware_concurrency(). The single-model constructor
-  /// also sizes its private registry's admission lanes to this count.
+  /// Event-loop shards. 0 resolves to std::thread::hardware_concurrency().
+  /// The single-model constructor also sizes its private registry's
+  /// admission lanes to this count.
   std::size_t shards = 1;
   /// When set, a side TCP listener on 127.0.0.1:metrics_port (0 =
   /// ephemeral; read back with Server::metrics_port()) that writes
@@ -222,91 +224,90 @@ class Server {
  private:
   struct Shard;
 
-  /// One live connection, shared between its owning shard's event loop
-  /// (which owns the fd and all read-side state) and dispatcher callbacks
-  /// (which only append to the write queue under `m`).
+  /// One live connection. Only its owning shard's loop thread touches it;
+  /// a dispatcher holds a shared_ptr only to address its Completion.
   struct Conn {
     explicit Conn(FdStream s) : stream(std::move(s)) {}
 
-    FdStream stream;
-    Shard* owner = nullptr;  // which shard's loop drives (and wakes for) us
+    /// Queue one encoded frame (or, for a scrape, the page) for flushing.
+    void push(std::vector<std::uint8_t> bytes) {
+      wq_bytes += bytes.size();
+      wq.push_back(std::move(bytes));
+    }
 
-    // Read side — owning shard's loop thread only.
+    FdStream stream;  // invalid once closed
     std::vector<std::uint8_t> rbuf;
     std::size_t rbuf_head = 0;  // parsed-prefix offset, compacted periodically
     bool read_done = false;     // EOF seen (or reads abandoned during stop)
     bool raw = false;           // metrics scrape: wq holds raw text, not frames
     std::chrono::steady_clock::time_point last_progress{};  // write-stall clock
-
-    // Write side — guarded by m (loop flushes, dispatcher callbacks append).
-    std::mutex m;
     std::deque<std::vector<std::uint8_t>> wq;  // whole encoded frames
     std::size_t wq_front_off = 0;              // bytes of wq.front() already written
     std::size_t wq_bytes = 0;
-    bool overflow = false;  // wq_bytes exceeded the bound; loop must drop
-    bool closed = false;    // dropped: discard further responses
-
-    std::atomic<std::uint64_t> outstanding{0};  // batcher requests not yet responded
+    std::uint64_t outstanding = 0;  // submitted, Completion not yet taken
   };
 
-  /// One event-loop shard: its own accept sources, wake pipe, loop thread,
-  /// request-decode scratch, and counters. Connections live in the loop's
-  /// locals; everything here is either loop-thread-only (x_scratch), set
-  /// once before the loop starts (transports), or locked (counters).
+  /// A dispatcher's encoded response, on its way to `conn`'s write queue.
+  struct Completion {
+    std::shared_ptr<Conn> conn;
+    std::vector<std::uint8_t> bytes;
+  };
+
+  /// One accept source: a LocalTransport, a TCP listener or the metrics
+  /// listener.
+  struct Listener {
+    std::unique_ptr<Transport> transport;
+    bool metrics = false;  // write the metrics page and close, no framing
+    /// While accept(2) fails on resource exhaustion the backlog keeps the
+    /// listener readable; it stays out of the poll set until this instant.
+    std::chrono::steady_clock::time_point backoff{};
+  };
+
+  /// One event-loop shard: its accept sources, wake pipe, loop thread,
+  /// scratch buffers, counters and completion inbox. Connections live in
+  /// the loop's locals.
   struct Shard {
     std::size_t index = 0;
-    LocalTransport local;                    // Server::connect() fan-out target
-    std::unique_ptr<TcpTransport> tcp;       // SO_REUSEPORT listener (when TCP on)
-    std::unique_ptr<TcpTransport> metrics;   // side metrics listener (shard 0 only)
-    FdStream wake_r, wake_w;                 // self-pipe: response enqueued / stop
+    /// [0] is the LocalTransport connect() deals onto; then the TCP listener
+    /// (when TCP is on) and the metrics listener (shard 0 only). Cleared when
+    /// the loop exits, so a late TCP connect is refused.
+    std::vector<Listener> listeners;
+    FdStream wake_r, wake_w;          // self-pipe: inbox non-empty / stop
     std::thread loop;
-    std::atomic<std::thread::id> tid{};      // wake() is a no-op on the loop itself
-    std::vector<double> x_scratch;           // request decode buffer; loop only
+    std::vector<double> x_scratch;    // request decode buffer; loop only
+    std::vector<std::uint8_t> chunk;  // one read() slice; loop only
 
-    mutable std::mutex m;  // counters
+    mutable std::mutex m;  // counters and inbox
     ShardStats counters;
+    std::vector<Completion> inbox;  // posted by dispatchers, taken by the loop
   };
 
   /// The common constructor both public ones delegate to: exactly one of
   /// `owned`/`external` is set.
   Server(std::unique_ptr<ModelRegistry> owned, ModelRegistry* external, ServerOptions opts);
 
-  void start_loop(Shard& sh);
   void loop_main(Shard& sh);
-  void wake(Shard& sh);
-  /// Drain `transport`'s pending connections into `conns`.
-  void accept_from(Shard& sh, Transport& transport,
-                   std::vector<std::shared_ptr<Conn>>& conns, bool metrics_conn);
-  /// Frame counters accumulated across one read chunk, folded into the
-  /// shard's stats under a single lock (never one lock per frame).
-  struct FrameTally {
-    std::uint64_t frames_in = 0;
-    std::uint64_t bad_requests = 0;
-    std::uint64_t not_found = 0;
-  };
-
-  /// Parse and route every complete frame in conn's read buffer. Returns
-  /// false if the connection must be dropped (framing error).
-  bool drain_rbuf(Shard& sh, const std::shared_ptr<Conn>& conn);
+  static void wake(Shard& sh);
+  /// Drain `l`'s pending connections into `conns`.
+  void accept_from(Shard& sh, const Listener& l, std::vector<std::shared_ptr<Conn>>& conns);
+  /// Close `conn` for good. A `dropped` connection (stall, overflow, bad
+  /// frame, reset) is counted and its unsent responses discarded.
+  void close_conn(Shard& sh, Conn& conn, bool dropped);
+  /// Read one chunk — or, with `all`, until the socket would block — and
+  /// answer every complete frame. Returns false if the connection must be
+  /// dropped (a reset, or a framing error, which is counted).
+  bool read_conn(Shard& sh, const std::shared_ptr<Conn>& conn, bool all);
+  /// Route one frame, counting into `tally` what the shard counts.
   void handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame frame,
-                      FrameTally& tally);
+                      ShardStats& tally);
   /// Flush as much queued response data as the socket takes right now.
   /// Returns false if the connection died mid-write.
-  bool flush_writes(Shard& sh, const std::shared_ptr<Conn>& conn);
-  /// Build, encode and queue one response frame. `encoding` mirrors the
-  /// request's payload encoding: a kOk response to a compressed (v4) request
-  /// is itself a compressed v4 frame whose payload is entropy-coded at
-  /// `width` bits per symbol; everything else — raw requests, every error
-  /// status — stays a plain v1 frame, so older clients never see a v4 byte.
-  void enqueue_response(const std::shared_ptr<Conn>& conn, std::uint64_t id, Status status,
-                        std::span<const std::uint32_t> bits,
-                        std::uint8_t encoding = kPayloadEncodingRaw, int width = 0);
+  bool flush_writes(Shard& sh, Conn& conn);
   void bump(Shard& sh, std::uint64_t ShardStats::* counter);
 
   ModelRegistry* registry_;                          // routing target
   std::unique_ptr<ModelRegistry> owned_registry_;    // single-model constructor
   const std::chrono::milliseconds write_timeout_;
-  const std::size_t max_write_queue_bytes_;
   const std::chrono::steady_clock::time_point start_;  // metrics uptime epoch
 
   std::vector<std::unique_ptr<Shard>> shards_;

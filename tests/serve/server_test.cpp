@@ -203,6 +203,8 @@ TEST(ServeServer, ClientValidatesLocally) {
   EXPECT_THROW(client.send(short_x), std::invalid_argument);
   EXPECT_THROW(client.receive(42), std::invalid_argument);  // never sent
   EXPECT_THROW(Server(nullptr, {}), std::invalid_argument);
+  EXPECT_THROW(Server(model, {.write_timeout = 0ms, .tcp_port = {}, .metrics_port = {}}),
+               std::invalid_argument);
 }
 
 TEST(ServeServer, StalledClientIsDroppedAndNeverBlocksStopOrOtherClients) {

@@ -329,6 +329,8 @@ TEST(ShardServer, SideMetricsListenerServesPlaintextAndCloses) {
   const std::map<std::string, double> m = parse_metrics(text);
   EXPECT_EQ(m.at("dp_requests_total"), 1.0);
   EXPECT_GE(server.stats().metrics_scrapes, 1u);
+  EXPECT_EQ(server.stats().frames_out, 1u);   // a scrape is not a frame
+  EXPECT_EQ(server.stats().connections, 1u);  // nor a request connection
 }
 
 }  // namespace
