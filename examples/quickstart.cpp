@@ -14,12 +14,11 @@ int main() {
 
   // --- 1. Posit values -------------------------------------------------------
   const num::PositFormat p8{8, 1};  // 8 bits, 1 exponent bit
-  const num::Posit a = num::Posit::from_double(1.5, p8);
-  const num::Posit b = num::Posit::from_double(-0.1875, p8);
-  std::printf("posit<8,1>: 1.5 encodes as 0x%02x, -0.1875 as 0x%02x\n", a.bits(),
-              b.bits());
-  std::printf("a + b = %g, a * b = %g, a / b = %g\n", (a + b).to_double(),
-              (a * b).to_double(), (a / b).to_double());
+  const std::uint32_t a = num::posit_from_double(1.5, p8);
+  const std::uint32_t b = num::posit_from_double(-0.1875, p8);
+  std::printf("posit<8,1>: 1.5 encodes as 0x%02x, -0.1875 as 0x%02x\n", a, b);
+  std::printf("a + b = %g, a * b = %g\n", num::posit_to_double(num::posit_add(a, b, p8), p8),
+              num::posit_to_double(num::posit_mul(a, b, p8), p8));
   std::printf("maxpos = %g, minpos = %g, dynamic range = %.1f decades\n\n", p8.maxpos(),
               p8.minpos(), p8.dynamic_range());
 

@@ -43,24 +43,19 @@ double fixed_to_double(std::uint32_t bits, const FixedFormat& fmt) {
   return static_cast<double>(fixed_raw(bits, fmt)) / std::ldexp(1.0, fmt.q);
 }
 
-std::uint32_t fixed_from_double(double x, const FixedFormat& fmt, FixedRounding rounding) {
+std::uint32_t fixed_from_double(double x, const FixedFormat& fmt) {
   validate(fmt);
   if (std::isnan(x)) throw std::domain_error("fixed_from_double: NaN");
   const double scaled = std::ldexp(x, fmt.q);
+  const double fl = std::floor(scaled);
+  const double frac = scaled - fl;
   double r;
-  if (rounding == FixedRounding::kNearestEven) {
-    const double fl = std::floor(scaled);
-    const double frac = scaled - fl;
-    if (frac < 0.5) {
-      r = fl;
-    } else if (frac > 0.5) {
-      r = fl + 1.0;
-    } else {
-      r = (std::fmod(fl, 2.0) == 0.0) ? fl : fl + 1.0;  // tie to even
-    }
+  if (frac < 0.5) {
+    r = fl;
+  } else if (frac > 0.5) {
+    r = fl + 1.0;
   } else {
-    // Hardware truncation is an arithmetic right shift, i.e. floor.
-    r = std::floor(scaled);
+    r = (std::fmod(fl, 2.0) == 0.0) ? fl : fl + 1.0;  // tie to even
   }
   if (r > static_cast<double>(fmt.raw_max())) return fixed_from_raw(fmt.raw_max(), fmt);
   if (r < static_cast<double>(fmt.raw_min())) return fixed_from_raw(fmt.raw_min(), fmt);
@@ -71,22 +66,13 @@ std::uint32_t fixed_add(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt
   return fixed_from_raw(fixed_raw(a, fmt) + fixed_raw(b, fmt), fmt);
 }
 
-std::uint32_t fixed_sub(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt) {
-  return fixed_from_raw(fixed_raw(a, fmt) - fixed_raw(b, fmt), fmt);
-}
-
-std::uint32_t fixed_mul(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt,
-                        FixedRounding rounding) {
+std::uint32_t fixed_mul(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt) {
   const std::int64_t prod = fixed_raw(a, fmt) * fixed_raw(b, fmt);  // 2n bits, q*2 frac
-  std::int64_t shifted;
-  if (rounding == FixedRounding::kNearestEven && fmt.q > 0) {
+  std::int64_t shifted = prod >> fmt.q;  // arithmetic shift = floor
+  if (fmt.q > 0) {
     const std::int64_t half = std::int64_t{1} << (fmt.q - 1);
-    const std::int64_t mask = (std::int64_t{1} << fmt.q) - 1;
-    const std::int64_t low = prod & mask;
-    shifted = prod >> fmt.q;
+    const std::int64_t low = prod & ((std::int64_t{1} << fmt.q) - 1);
     if (low > half || (low == half && (shifted & 1))) ++shifted;
-  } else {
-    shifted = prod >> fmt.q;  // arithmetic shift = floor
   }
   return fixed_from_raw(shifted, fmt);
 }

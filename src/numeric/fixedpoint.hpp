@@ -9,12 +9,6 @@
 
 namespace dp::num {
 
-/// Rounding used when converting a real number into fixed point.
-enum class FixedRounding {
-  kNearestEven,  ///< round to nearest, ties to even (used for quantization)
-  kTruncate,     ///< round toward negative infinity / drop bits (EMAC output)
-};
-
 struct FixedFormat {
   int n;  ///< total bits (2..32), two's complement
   int q;  ///< fraction bits (0..n-1)
@@ -42,16 +36,14 @@ std::int64_t fixed_raw(std::uint32_t bits, const FixedFormat& fmt);
 std::uint32_t fixed_from_raw(std::int64_t raw, const FixedFormat& fmt);
 
 double fixed_to_double(std::uint32_t bits, const FixedFormat& fmt);
-/// Convert with the chosen rounding; saturates at the representable range.
-std::uint32_t fixed_from_double(double x, const FixedFormat& fmt,
-                                FixedRounding rounding = FixedRounding::kNearestEven);
+/// Convert rounding to nearest, ties to even; saturates at the representable
+/// range.
+std::uint32_t fixed_from_double(double x, const FixedFormat& fmt);
 
 // Saturating arithmetic on raw patterns.
 std::uint32_t fixed_add(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt);
-std::uint32_t fixed_sub(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt);
-/// Product keeps q fraction bits (rounded per `rounding`), saturating.
-std::uint32_t fixed_mul(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt,
-                        FixedRounding rounding = FixedRounding::kNearestEven);
+/// Product keeps q fraction bits (rounded to nearest even), saturating.
+std::uint32_t fixed_mul(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt);
 std::uint32_t fixed_neg(std::uint32_t a, const FixedFormat& fmt);
 
 bool fixed_less(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt);

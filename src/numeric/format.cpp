@@ -82,7 +82,7 @@ std::uint32_t Format::from_double(double x) const {
     case Kind::kFloat:
       return float_from_double(x, flt(), FloatOverflow::kSaturate);
     case Kind::kFixed:
-      return fixed_from_double(x, fixed(), FixedRounding::kNearestEven);
+      return fixed_from_double(x, fixed());
   }
   throw std::logic_error("Format::from_double");
 }

@@ -238,10 +238,6 @@ std::uint32_t float_add(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt
   return float_encode(sum, fmt);
 }
 
-std::uint32_t float_sub(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt) {
-  return float_add(a, float_neg(b, fmt), fmt);
-}
-
 std::uint32_t float_mul(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt) {
   const Decoded da = float_decode(a, fmt);
   const Decoded db = float_decode(b, fmt);
@@ -253,22 +249,6 @@ std::uint32_t float_mul(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt
   }
   if (da.cls == ValueClass::kZero || db.cls == ValueClass::kZero) return float_zero(fmt, neg);
   return float_encode(mul_unpacked(da.v, db.v), fmt);
-}
-
-std::uint32_t float_div(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt) {
-  const Decoded da = float_decode(a, fmt);
-  const Decoded db = float_decode(b, fmt);
-  if (is_nan(da) || is_nan(db)) return float_nan(fmt);
-  const bool neg = da.v.neg != db.v.neg;
-  if (da.cls == ValueClass::kInf) {
-    return db.cls == ValueClass::kInf ? float_nan(fmt) : float_inf(fmt, neg);
-  }
-  if (db.cls == ValueClass::kInf) return float_zero(fmt, neg);
-  if (db.cls == ValueClass::kZero) {
-    return da.cls == ValueClass::kZero ? float_nan(fmt) : float_inf(fmt, neg);
-  }
-  if (da.cls == ValueClass::kZero) return float_zero(fmt, neg);
-  return float_encode(div_unpacked(da.v, db.v), fmt);
 }
 
 std::uint32_t float_neg(std::uint32_t a, const FloatFormat& fmt) {

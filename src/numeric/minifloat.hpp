@@ -83,9 +83,7 @@ std::uint32_t float_from_double(double x, const FloatFormat& fmt,
 // Arithmetic on raw patterns (IEEE semantics: NaN propagates, Inf arithmetic,
 // signed zeros). Rounds to nearest even.
 std::uint32_t float_add(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt);
-std::uint32_t float_sub(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt);
 std::uint32_t float_mul(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt);
-std::uint32_t float_div(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt);
 std::uint32_t float_neg(std::uint32_t a, const FloatFormat& fmt);
 std::uint32_t float_abs(std::uint32_t a, const FloatFormat& fmt);
 

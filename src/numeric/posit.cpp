@@ -207,26 +207,6 @@ std::uint32_t posit_from_double(double x, const PositFormat& fmt) {
   return posit_encode(unpack_double(x), fmt);
 }
 
-namespace {
-
-/// Shared binary-op plumbing: handles zero/NaR, defers finite math to `op`.
-template <typename Op>
-std::uint32_t posit_binop(std::uint32_t a, std::uint32_t b, const PositFormat& fmt, Op op,
-                          bool zero_dominates) {
-  const Decoded da = posit_decode(a, fmt);
-  const Decoded db = posit_decode(b, fmt);
-  if (da.cls == ValueClass::kNaR || db.cls == ValueClass::kNaR) return fmt.nar_pattern();
-  if (da.cls == ValueClass::kZero) {
-    return zero_dominates ? fmt.zero_pattern() : (b & fmt.mask());
-  }
-  if (db.cls == ValueClass::kZero) {
-    return zero_dominates ? fmt.zero_pattern() : (a & fmt.mask());
-  }
-  return posit_encode(op(da.v, db.v), fmt);
-}
-
-}  // namespace
-
 std::uint32_t posit_add(std::uint32_t a, std::uint32_t b, const PositFormat& fmt) {
   const Decoded da = posit_decode(a, fmt);
   const Decoded db = posit_decode(b, fmt);
@@ -238,29 +218,12 @@ std::uint32_t posit_add(std::uint32_t a, std::uint32_t b, const PositFormat& fmt
   return posit_encode(sum, fmt);
 }
 
-std::uint32_t posit_sub(std::uint32_t a, std::uint32_t b, const PositFormat& fmt) {
-  return posit_add(a, posit_neg(b, fmt), fmt);
-}
-
 std::uint32_t posit_mul(std::uint32_t a, std::uint32_t b, const PositFormat& fmt) {
-  return posit_binop(a, b, fmt, mul_unpacked, /*zero_dominates=*/true);
-}
-
-std::uint32_t posit_div(std::uint32_t a, std::uint32_t b, const PositFormat& fmt) {
   const Decoded da = posit_decode(a, fmt);
   const Decoded db = posit_decode(b, fmt);
   if (da.cls == ValueClass::kNaR || db.cls == ValueClass::kNaR) return fmt.nar_pattern();
-  if (db.cls == ValueClass::kZero) return fmt.nar_pattern();  // x/0 = NaR
-  if (da.cls == ValueClass::kZero) return fmt.zero_pattern();
-  return posit_encode(div_unpacked(da.v, db.v), fmt);
-}
-
-std::uint32_t posit_sqrt(std::uint32_t a, const PositFormat& fmt) {
-  const Decoded da = posit_decode(a, fmt);
-  if (da.cls == ValueClass::kNaR) return fmt.nar_pattern();
-  if (da.cls == ValueClass::kZero) return fmt.zero_pattern();
-  if (da.v.neg) return fmt.nar_pattern();
-  return posit_encode(sqrt_unpacked(da.v), fmt);
+  if (da.cls == ValueClass::kZero || db.cls == ValueClass::kZero) return fmt.zero_pattern();
+  return posit_encode(mul_unpacked(da.v, db.v), fmt);
 }
 
 std::uint32_t posit_neg(std::uint32_t a, const PositFormat& fmt) {

@@ -1,5 +1,7 @@
 #pragma once
-// Posit (Type III unum) arithmetic, runtime-parameterized by (n, es).
+// Posit (Type III unum) codec, runtime-parameterized by (n, es), with the
+// once-rounded add and multiply of the naive MAC baseline (emac::naive_mac)
+// and the sign, order and next/prior helpers.
 //
 // Implements the encoding of Gustafson & Yonemoto, "Beating Floating Point at
 // Its Own Game" (2017) as used by the Deep Positron paper: a sign bit, a
@@ -94,10 +96,7 @@ std::uint32_t posit_from_double(double x, const PositFormat& fmt);
 
 // Arithmetic on raw patterns (format-aware). NaR propagates.
 std::uint32_t posit_add(std::uint32_t a, std::uint32_t b, const PositFormat& fmt);
-std::uint32_t posit_sub(std::uint32_t a, std::uint32_t b, const PositFormat& fmt);
 std::uint32_t posit_mul(std::uint32_t a, std::uint32_t b, const PositFormat& fmt);
-std::uint32_t posit_div(std::uint32_t a, std::uint32_t b, const PositFormat& fmt);
-std::uint32_t posit_sqrt(std::uint32_t a, const PositFormat& fmt);
 std::uint32_t posit_neg(std::uint32_t a, const PositFormat& fmt);
 std::uint32_t posit_abs(std::uint32_t a, const PositFormat& fmt);
 
@@ -109,35 +108,5 @@ bool posit_less(std::uint32_t a, std::uint32_t b, const PositFormat& fmt);
 /// skipping NaR).
 std::uint32_t posit_next(std::uint32_t a, const PositFormat& fmt);
 std::uint32_t posit_prior(std::uint32_t a, const PositFormat& fmt);
-
-/// Value-typed convenience wrapper binding a pattern to its format.
-class Posit {
- public:
-  Posit(const PositFormat& fmt, std::uint32_t bits) : fmt_(fmt), bits_(bits & fmt.mask()) {}
-  static Posit from_double(double x, const PositFormat& fmt) {
-    return Posit(fmt, posit_from_double(x, fmt));
-  }
-  static Posit zero(const PositFormat& fmt) { return Posit(fmt, 0); }
-  static Posit nar(const PositFormat& fmt) { return Posit(fmt, fmt.nar_pattern()); }
-
-  std::uint32_t bits() const { return bits_; }
-  const PositFormat& format() const { return fmt_; }
-  double to_double() const { return posit_to_double(bits_, fmt_); }
-  bool is_zero() const { return bits_ == 0; }
-  bool is_nar() const { return bits_ == fmt_.nar_pattern(); }
-
-  Posit operator+(const Posit& rhs) const { return with(posit_add(bits_, rhs.bits_, fmt_)); }
-  Posit operator-(const Posit& rhs) const { return with(posit_sub(bits_, rhs.bits_, fmt_)); }
-  Posit operator*(const Posit& rhs) const { return with(posit_mul(bits_, rhs.bits_, fmt_)); }
-  Posit operator/(const Posit& rhs) const { return with(posit_div(bits_, rhs.bits_, fmt_)); }
-  Posit operator-() const { return with(posit_neg(bits_, fmt_)); }
-  bool operator==(const Posit& rhs) const { return bits_ == rhs.bits_; }
-  bool operator<(const Posit& rhs) const { return posit_less(bits_, rhs.bits_, fmt_); }
-
- private:
-  Posit with(std::uint32_t b) const { return Posit(fmt_, b); }
-  PositFormat fmt_;
-  std::uint32_t bits_;
-};
 
 }  // namespace dp::num

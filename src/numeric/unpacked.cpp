@@ -102,55 +102,6 @@ Unpacked add_unpacked(const Unpacked& a, const Unpacked& b) {
   return out;
 }
 
-Unpacked div_unpacked(const Unpacked& a, const Unpacked& b) {
-  if (b.frac == 0) throw std::domain_error("div_unpacked: division by zero fraction");
-  // value = (fa/fb) * 2^(sa-sb); q = floor(fa*2^64 / fb) in (2^63, 2^65).
-  const u128 num = static_cast<u128>(a.frac) << 64;
-  u128 q = num / b.frac;
-  const bool rem = (num % b.frac) != 0;
-  Unpacked out;
-  out.neg = a.neg != b.neg;
-  out.sticky = a.sticky || b.sticky || rem;
-  if ((q >> 64) != 0) {
-    // q in [2^64, 2^65): value = (q/2^64) * 2^(sa-sb) with q/2^64 in [1,2).
-    out.sticky = out.sticky || (q & 1);
-    out.frac = static_cast<std::uint64_t>(q >> 1);
-    out.scale = a.scale - b.scale;
-  } else {
-    // q in (2^63, 2^64): value = (q/2^63) * 2^(sa-sb-1).
-    out.frac = static_cast<std::uint64_t>(q);
-    out.scale = a.scale - b.scale - 1;
-  }
-  return out;
-}
-
-Unpacked sqrt_unpacked(const Unpacked& a) {
-  if (a.neg) throw std::domain_error("sqrt_unpacked: negative operand");
-  // value = (fa/2^63) * 2^s. Force s even, then
-  // sqrt(value) = sqrt(fa << 63)/2^63 * 2^(s/2) with fa<<63 in [2^126, 2^128).
-  u128 mag = static_cast<u128>(a.frac) << 63;
-  std::int64_t s = a.scale;
-  if (s % 2 != 0) {  // works for negative odd s too: (s-1) is even
-    mag <<= 1;
-    s -= 1;
-  }
-  u128 lo = u128{1} << 63, hi = (u128{1} << 64) - 1;
-  while (lo < hi) {
-    const u128 mid = (lo + hi + 1) >> 1;
-    if (mid * mid <= mag) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  Unpacked out;
-  out.neg = false;
-  out.frac = static_cast<std::uint64_t>(lo);
-  out.scale = s / 2;
-  out.sticky = a.sticky || (lo * lo != mag);
-  return out;
-}
-
 Unpacked unpack_double(double x) {
   if (x == 0.0 || !std::isfinite(x)) throw std::domain_error("unpack_double: need finite nonzero");
   Unpacked out;

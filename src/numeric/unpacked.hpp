@@ -36,12 +36,6 @@ Unpacked mul_unpacked(const Unpacked& a, const Unpacked& b);
 /// Returns a zero fraction (frac == 0) if the result is exactly zero.
 Unpacked add_unpacked(const Unpacked& a, const Unpacked& b);
 
-/// Quotient a / b with sticky from the remainder.
-Unpacked div_unpacked(const Unpacked& a, const Unpacked& b);
-
-/// Square root (frac-exact with sticky), requires !a.neg.
-Unpacked sqrt_unpacked(const Unpacked& a);
-
 /// Unpack a finite nonzero double exactly. Precondition: finite, nonzero.
 Unpacked unpack_double(double x);
 

@@ -1,8 +1,6 @@
 #include "rtl/bits.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 namespace dp::rtl {
 
@@ -42,12 +40,6 @@ Bits Bits::ones(std::size_t width) {
   return out;
 }
 
-Bits Bits::one_hot(std::size_t width, std::size_t pos) {
-  Bits out(width);
-  out.set_bit(pos, true);
-  return out;
-}
-
 bool Bits::bit(std::size_t i) const {
   if (i >= width_) throw std::out_of_range("Bits::bit: index out of range");
   return (limbs_[i / kLimbBits] >> (i % kLimbBits)) & 1u;
@@ -71,33 +63,11 @@ Bits Bits::slice(std::size_t hi, std::size_t lo) const {
   return out.resize(w);
 }
 
-Bits Bits::concat(const Bits& hi, const Bits& lo) {
-  Bits out = hi.resize(hi.width_ + lo.width_).shl(lo.width_);
-  const Bits lo_ext = lo.resize(out.width_);
-  for (std::size_t i = 0; i < out.limbs_.size(); ++i) out.limbs_[i] |= lo_ext.limbs_[i];
-  return out;
-}
-
 Bits Bits::resize(std::size_t new_width) const {
   Bits out(new_width);
   const std::size_t n = std::min(out.limbs_.size(), limbs_.size());
   std::copy_n(limbs_.begin(), n, out.limbs_.begin());
   out.trim();
-  return out;
-}
-
-Bits Bits::sext(std::size_t new_width) const {
-  Bits out = resize(new_width);
-  if (new_width > width_ && msb()) {
-    for (std::size_t i = width_; i < new_width; ++i) out.set_bit(i, true);
-  }
-  return out;
-}
-
-Bits Bits::replicate(std::size_t count) const {
-  if (count == 0) throw std::invalid_argument("Bits::replicate: count must be >= 1");
-  Bits out = *this;
-  for (std::size_t i = 1; i < count; ++i) out = concat(out, *this);
   return out;
 }
 
@@ -112,44 +82,10 @@ void Bits::check_same_width(const Bits& a, const Bits& b) {
   if (a.width_ != b.width_) throw std::invalid_argument("Bits: width mismatch");
 }
 
-Bits Bits::operator&(const Bits& rhs) const {
-  check_same_width(*this, rhs);
-  Bits out = *this;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] &= rhs.limbs_[i];
-  return out;
-}
-
-Bits Bits::operator|(const Bits& rhs) const {
-  check_same_width(*this, rhs);
-  Bits out = *this;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] |= rhs.limbs_[i];
-  return out;
-}
-
-Bits Bits::operator^(const Bits& rhs) const {
-  check_same_width(*this, rhs);
-  Bits out = *this;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] ^= rhs.limbs_[i];
-  return out;
-}
-
 bool Bits::or_reduce() const noexcept {
   for (const auto l : limbs_)
     if (l != 0) return true;
   return false;
-}
-
-bool Bits::and_reduce() const noexcept {
-  // All bits within width must be 1.
-  return popcount() == width_;
-}
-
-bool Bits::xor_reduce() const noexcept { return popcount() % 2 == 1; }
-
-std::size_t Bits::popcount() const noexcept {
-  std::size_t n = 0;
-  for (const auto l : limbs_) n += static_cast<std::size_t>(std::popcount(l));
-  return n;
 }
 
 Bits Bits::shl(std::size_t k) const {
@@ -205,8 +141,6 @@ Bits Bits::operator+(const Bits& rhs) const {
   return out;
 }
 
-Bits Bits::operator-(const Bits& rhs) const { return *this + rhs.negate(); }
-
 Bits Bits::negate() const { return (~*this).add_u64(1); }
 
 Bits Bits::add_u64(std::uint64_t v) const {
@@ -245,31 +179,9 @@ bool Bits::operator==(const Bits& rhs) const {
   return limbs_ == rhs.limbs_;
 }
 
-bool Bits::ult(const Bits& rhs) const {
-  check_same_width(*this, rhs);
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    if (limbs_[i] != rhs.limbs_[i]) return limbs_[i] < rhs.limbs_[i];
-  }
-  return false;
-}
-
-bool Bits::slt(const Bits& rhs) const {
-  const bool sa = msb();
-  const bool sb = rhs.msb();
-  if (sa != sb) return sa;  // negative < non-negative
-  return ult(rhs);
-}
-
 std::size_t Bits::lzd() const noexcept {
   for (std::size_t i = width_; i-- > 0;) {
     if ((limbs_[i / kLimbBits] >> (i % kLimbBits)) & 1u) return width_ - 1 - i;
-  }
-  return width_;
-}
-
-std::size_t Bits::tzd() const noexcept {
-  for (std::size_t i = 0; i < width_; ++i) {
-    if ((limbs_[i / kLimbBits] >> (i % kLimbBits)) & 1u) return i;
   }
   return width_;
 }
@@ -288,40 +200,10 @@ std::int64_t Bits::to_i64() const {
   return static_cast<std::int64_t>(v);
 }
 
-std::uint64_t Bits::low_u64() const noexcept { return limbs_[0]; }
-
-double Bits::to_double_scaled(std::size_t frac_bits) const {
-  double acc = 0.0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    acc = acc * 18446744073709551616.0 /* 2^64 */ + static_cast<double>(limbs_[i]);
-  }
-  return acc / std::pow(2.0, static_cast<double>(frac_bits));
-}
-
-double Bits::signed_to_double() const {
-  if (!msb()) return to_double_scaled(0);
-  return -negate().to_double_scaled(0);
-}
-
 std::string Bits::to_string() const {
   std::string s(width_, '0');
   for (std::size_t i = 0; i < width_; ++i) {
     if (bit(i)) s[width_ - 1 - i] = '1';
-  }
-  return s;
-}
-
-std::string Bits::to_hex() const {
-  static constexpr char digits[] = "0123456789abcdef";
-  const std::size_t n = (width_ + 3) / 4;
-  std::string s(n, '0');
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned nib = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      const std::size_t pos = i * 4 + b;
-      if (pos < width_ && bit(pos)) nib |= 1u << b;
-    }
-    s[n - 1 - i] = digits[nib];
   }
   return s;
 }
@@ -331,15 +213,6 @@ void Bits::trim() noexcept {
   if (rem != 0) {
     limbs_.back() &= (std::uint64_t{1} << rem) - 1;
   }
-}
-
-std::size_t lzd64(std::uint64_t v, std::size_t width) noexcept {
-  std::size_t n = 0;
-  for (std::size_t i = width; i-- > 0;) {
-    if ((v >> i) & 1u) break;
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace dp::rtl

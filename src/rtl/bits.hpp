@@ -1,7 +1,7 @@
 #pragma once
 // dp::rtl::Bits — a dynamic-width bit vector with hardware (VHDL/Verilog)
 // semantics: modular two's-complement arithmetic inside a fixed declared
-// width, slicing, concatenation, shifts and leading-zero detection.
+// width, slicing, shifts and leading-zero detection.
 //
 // The Deep Positron EMACs (Figs 3-5 of the paper, Algorithms 1-2) are
 // specified as register-transfer-level datapaths; implementing them against
@@ -25,7 +25,7 @@ inline constexpr std::size_t kLimbBits = 64;
 ///  * all storage bits above width()-1 are zero (canonical form)
 ///
 /// Arithmetic is modulo 2^width (hardware register semantics); signedness is
-/// an interpretation applied by the caller (as_i64, signed_lt, sra, sext).
+/// an interpretation applied by the caller (msb, negate, sra, to_i64).
 class Bits {
  public:
   /// Zero-valued vector of the given width. Width must be >= 1.
@@ -40,43 +40,23 @@ class Bits {
   /// All-ones vector of the given width.
   static Bits ones(std::size_t width);
 
-  /// Vector with only bit `pos` set.
-  static Bits one_hot(std::size_t width, std::size_t pos);
-
   std::size_t width() const noexcept { return width_; }
 
   // -- bit access ------------------------------------------------------
   bool bit(std::size_t i) const;              ///< value of bit i (0 = LSB)
   void set_bit(std::size_t i, bool v);        ///< assign bit i
   bool msb() const { return bit(width_ - 1); }
-  bool lsb() const { return bit(0); }
 
-  // -- slicing / composition -------------------------------------------
+  // -- slicing / resizing ----------------------------------------------
   /// VHDL-style slice in[hi : lo] (inclusive, hi >= lo). Result width hi-lo+1.
   Bits slice(std::size_t hi, std::size_t lo) const;
-
-  /// Concatenation {hi, lo}: `hi` becomes the most-significant part.
-  static Bits concat(const Bits& hi, const Bits& lo);
 
   /// Zero-extend or truncate (keeping LSBs) to `new_width`.
   Bits resize(std::size_t new_width) const;
 
-  /// Sign-extend (replicating the MSB) or truncate to `new_width`.
-  Bits sext(std::size_t new_width) const;
-
-  /// Replicate this vector `count` times ({count{x}} in Verilog).
-  Bits replicate(std::size_t count) const;
-
   // -- logic ------------------------------------------------------------
   Bits operator~() const;
-  Bits operator&(const Bits& rhs) const;
-  Bits operator|(const Bits& rhs) const;
-  Bits operator^(const Bits& rhs) const;
-
-  bool or_reduce() const noexcept;   ///< |x : any bit set
-  bool and_reduce() const noexcept;  ///< &x : all bits set
-  bool xor_reduce() const noexcept;  ///< ^x : parity
-  std::size_t popcount() const noexcept;
+  bool or_reduce() const noexcept;  ///< |x : any bit set
 
   // -- shifts ------------------------------------------------------------
   Bits shl(std::size_t k) const;  ///< logical shift left (bits drop off MSB)
@@ -85,7 +65,6 @@ class Bits {
 
   // -- arithmetic (modulo 2^width) ---------------------------------------
   Bits operator+(const Bits& rhs) const;
-  Bits operator-(const Bits& rhs) const;
   Bits negate() const;                     ///< two's complement (-x)
   Bits add_u64(std::uint64_t v) const;
   /// Widening unsigned multiply: result width = width() + rhs.width().
@@ -93,9 +72,6 @@ class Bits {
 
   // -- comparison ----------------------------------------------------------
   bool operator==(const Bits& rhs) const;
-  bool operator!=(const Bits& rhs) const { return !(*this == rhs); }
-  bool ult(const Bits& rhs) const;   ///< unsigned <
-  bool slt(const Bits& rhs) const;   ///< signed (two's complement) <
   bool is_zero() const noexcept { return !or_reduce(); }
 
   // -- counting --------------------------------------------------------------
@@ -103,23 +79,13 @@ class Bits {
   /// Returns width() when the vector is zero.
   std::size_t lzd() const noexcept;
 
-  /// Number of trailing zero bits (width() if zero).
-  std::size_t tzd() const noexcept;
-
   // -- conversion -----------------------------------------------------------
   /// Unsigned value; requires width() <= 64.
   std::uint64_t to_u64() const;
   /// Signed (two's complement) value; requires width() <= 64.
   std::int64_t to_i64() const;
-  /// Unsigned value truncated to 64 bits regardless of width.
-  std::uint64_t low_u64() const noexcept;
-  /// Interpret as unsigned integer scaled by 2^-frac_bits.
-  double to_double_scaled(std::size_t frac_bits) const;
-  /// Signed two's-complement value as double (exact for <= 53 significant bits).
-  double signed_to_double() const;
 
   std::string to_string() const;  ///< binary, MSB first
-  std::string to_hex() const;
 
  private:
   void trim() noexcept;  // restore canonical form (clear bits above width)
@@ -128,8 +94,5 @@ class Bits {
   std::size_t width_;
   std::vector<std::uint64_t> limbs_;  // little-endian limb order
 };
-
-/// Leading-zero detector on a raw 64-bit word within `width` LSBs.
-std::size_t lzd64(std::uint64_t v, std::size_t width) noexcept;
 
 }  // namespace dp::rtl

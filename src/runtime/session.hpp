@@ -50,16 +50,9 @@ class Session {
   explicit Session(std::shared_ptr<const Model> model, SessionOptions opts = {});
 
   const Model& model() const { return *model_; }
-  std::shared_ptr<const Model> model_ptr() const { return model_; }
 
   /// Actual pool concurrency (spawned workers + the submitting thread).
   std::size_t num_threads() const { return pool_->slots(); }
-
-  /// The model's samples per pass (Model::preferred_tile()). Serving
-  /// front-ends (serve::DynamicBatcher) align size-triggered flushes to a
-  /// multiple of this so every full tile of a micro-batch rides one
-  /// weight-plane pass.
-  std::size_t preferred_batch_multiple() const { return model_->preferred_tile(); }
 
   // --- Single-sample entry points (zero-copy in and out) -------------------
   // `x` is any contiguous double buffer of input_dim() values (else

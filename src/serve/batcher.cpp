@@ -40,8 +40,7 @@ DynamicBatcher::DynamicBatcher(std::shared_ptr<const runtime::Model> model,
                                BatcherOptions opts)
     : model_(require_model(std::move(model))),
       opts_(validate(opts)),
-      tile_(opts_.tile_align != 0 ? opts_.tile_align
-                                  : std::max<std::size_t>(1, model_->preferred_tile())) {
+      tile_(std::max<std::size_t>(1, model_->preferred_tile())) {
   pending_x_.reserve(opts_.queue_capacity * model_->input_dim());
   pending_.reserve(opts_.queue_capacity);
   wait_window_.reserve(kWaitWindow);

@@ -81,13 +81,6 @@ struct BatcherOptions {
   /// sharded Server uses this so N shards x M dispatchers do not oversubscribe
   /// the box with N*M pools.
   std::shared_ptr<runtime::WorkerPool> shared_pool;
-  /// Align SIZE-TRIGGERED flushes to a multiple of this many rows, so burst
-  /// carves hand the Model's register-blocked kernels whole sample tiles
-  /// (a ragged tail re-reads every weight plane for a fraction of a tile).
-  /// 0 = auto: the model's preferred kernel tile. Deadline and shutdown
-  /// flushes are never trimmed — a lone request still leaves after max_wait
-  /// regardless of alignment (tests/runtime/blocked_session_test.cpp).
-  std::size_t tile_align = 0;
 };
 
 /// Counters + gauges snapshot; see DynamicBatcher::stats(). Wait percentiles
@@ -126,8 +119,12 @@ class DynamicBatcher {
   const runtime::Model& model() const { return *model_; }
   const BatcherOptions& options() const { return opts_; }
 
-  /// Resolved flush alignment (tile_align or the model's preferred kernel
-  /// tile); size-triggered carves are trimmed to a multiple of this.
+  /// Flush alignment: the model's preferred kernel tile. SIZE-TRIGGERED
+  /// carves are trimmed to a multiple of this, so burst carves hand the
+  /// register-blocked kernels whole sample tiles (a ragged tail re-reads
+  /// every weight plane for a fraction of a tile). Deadline and shutdown
+  /// flushes are never trimmed — a lone request still leaves after max_wait
+  /// regardless of alignment (tests/runtime/blocked_session_test.cpp).
   std::size_t tile() const { return tile_; }
 
   /// A request's absolute shed deadline (steady clock); nullopt = none.

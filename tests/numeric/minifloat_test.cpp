@@ -239,17 +239,6 @@ INSTANTIATE_TEST_SUITE_P(Formats, FloatArithExhaustive,
                                   std::to_string(info.param.wf);
                          });
 
-TEST(FloatArith, DivisionBasics) {
-  const FloatFormat fmt{4, 3};
-  const auto enc = [&](double x) { return float_from_double(x, fmt); };
-  EXPECT_EQ(float_to_double(float_div(enc(6.0), enc(2.0), fmt), fmt), 3.0);
-  EXPECT_EQ(float_div(enc(1.0), enc(0.0), fmt), float_inf(fmt));
-  EXPECT_EQ(float_div(enc(-1.0), enc(0.0), fmt), float_inf(fmt, true));
-  EXPECT_EQ(float_div(enc(0.0), enc(0.0), fmt), float_nan(fmt));
-  EXPECT_EQ(float_div(float_inf(fmt), float_inf(fmt), fmt), float_nan(fmt));
-  EXPECT_EQ(float_div(enc(1.0), float_inf(fmt), fmt), float_zero(fmt));
-}
-
 TEST(FloatArith, NegAbs) {
   const FloatFormat fmt{4, 3};
   const std::uint32_t x = float_from_double(-2.5, fmt);

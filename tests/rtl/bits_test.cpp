@@ -60,11 +60,6 @@ TEST(BitsString, RejectsBadChar) {
   EXPECT_THROW(Bits::from_string(""), std::invalid_argument);
 }
 
-TEST(BitsString, Hex) {
-  EXPECT_EQ(Bits(12, 0xABCu).to_hex(), "abc");
-  EXPECT_EQ(Bits(13, 0x1ABCu).to_hex(), "1abc");
-}
-
 TEST(BitsAccess, SetAndGet) {
   Bits b(70);
   b.set_bit(69, true);
@@ -80,17 +75,8 @@ TEST(BitsAccess, SetAndGet) {
 
 TEST(BitsOnes, AllSet) {
   const Bits b = Bits::ones(67);
-  EXPECT_TRUE(b.and_reduce());
-  EXPECT_EQ(b.popcount(), 67u);
+  EXPECT_TRUE((~b).is_zero());
   EXPECT_EQ(b.lzd(), 0u);
-}
-
-TEST(BitsOneHot, SingleBit) {
-  const Bits b = Bits::one_hot(90, 77);
-  EXPECT_EQ(b.popcount(), 1u);
-  EXPECT_TRUE(b.bit(77));
-  EXPECT_EQ(b.lzd(), 90u - 78u);
-  EXPECT_EQ(b.tzd(), 77u);
 }
 
 TEST(BitsSlice, Basic) {
@@ -104,51 +90,21 @@ TEST(BitsSlice, Basic) {
   EXPECT_THROW(b.slice(2, 3), std::invalid_argument);
 }
 
-TEST(BitsConcat, Basic) {
-  const Bits hi = Bits::from_string("101");
-  const Bits lo = Bits::from_string("0011");
-  EXPECT_EQ(Bits::concat(hi, lo).to_string(), "1010011");
-}
-
-TEST(BitsConcat, CrossesLimbBoundary) {
-  const Bits hi = Bits::ones(60);
-  const Bits lo = Bits(10, 0x2AA);
-  const Bits c = Bits::concat(hi, lo);
-  EXPECT_EQ(c.width(), 70u);
-  EXPECT_EQ(c.slice(69, 10), hi);
-  EXPECT_EQ(c.slice(9, 0), lo);
-}
-
 TEST(BitsResize, TruncateAndExtend) {
   const Bits b = Bits::from_string("1101");
   EXPECT_EQ(b.resize(2).to_string(), "01");
   EXPECT_EQ(b.resize(6).to_string(), "001101");
 }
 
-TEST(BitsSext, NegativeAndPositive) {
-  EXPECT_EQ(Bits::from_string("10").sext(5).to_string(), "11110");
-  EXPECT_EQ(Bits::from_string("01").sext(5).to_string(), "00001");
-  EXPECT_EQ(Bits::from_string("101").sext(3).to_string(), "101");
-}
-
-TEST(BitsReplicate, Pattern) {
-  EXPECT_EQ(Bits::from_string("10").replicate(3).to_string(), "101010");
-  EXPECT_THROW(Bits::from_string("1").replicate(0), std::invalid_argument);
-}
-
 TEST(BitsLogic, WidthMismatchThrows) {
-  EXPECT_THROW(Bits(4) & Bits(5), std::invalid_argument);
   EXPECT_THROW(Bits(4) + Bits(5), std::invalid_argument);
-  EXPECT_THROW((void)Bits(4).ult(Bits(5)), std::invalid_argument);
 }
 
 TEST(BitsReduce, OrAndXor) {
-  EXPECT_FALSE(Bits(80).or_reduce());
-  EXPECT_TRUE(Bits::one_hot(80, 79).or_reduce());
-  EXPECT_TRUE(Bits::ones(80).and_reduce());
-  EXPECT_FALSE(Bits::one_hot(80, 3).and_reduce());
-  EXPECT_TRUE(Bits::one_hot(80, 3).xor_reduce());
-  EXPECT_FALSE((Bits::one_hot(80, 3) | Bits::one_hot(80, 5)).xor_reduce());
+  Bits top(80);
+  EXPECT_FALSE(top.or_reduce());
+  top.set_bit(79, true);
+  EXPECT_TRUE(top.or_reduce());
 }
 
 TEST(BitsShift, BeyondWidthIsZero) {
@@ -161,7 +117,8 @@ TEST(BitsShift, BeyondWidthIsZero) {
 
 TEST(BitsArithmetic, NegateExtremes) {
   // Two's complement of the most negative value is itself.
-  const Bits most_neg = Bits::one_hot(8, 7);
+  Bits most_neg(8);
+  most_neg.set_bit(7, true);
   EXPECT_EQ(most_neg.negate(), most_neg);
   EXPECT_EQ(Bits(8, 1).negate().to_u64(), 0xFFu);
   EXPECT_TRUE(Bits(8, 0).negate().is_zero());
@@ -171,7 +128,6 @@ TEST(BitsArithmetic, AddCarriesAcrossLimbs) {
   const Bits a = Bits::ones(130);
   const Bits one(130, 1);
   EXPECT_TRUE((a + one).is_zero());  // modular wraparound
-  EXPECT_EQ(a - a, Bits(130));
 }
 
 TEST(BitsMul, WideProduct) {
@@ -188,25 +144,10 @@ TEST(BitsConvert, SignedValues) {
   EXPECT_EQ(Bits::from_string("1111").to_i64(), -1);
   EXPECT_EQ(Bits::from_string("1000").to_i64(), -8);
   EXPECT_EQ(Bits::from_string("0111").to_i64(), 7);
-  EXPECT_EQ(Bits::from_string("1000").signed_to_double(), -8.0);
-  EXPECT_EQ(Bits(70, 5).signed_to_double(), 5.0);
 }
 
 TEST(BitsConvert, ToU64Guards) {
   EXPECT_THROW((void)Bits(65).to_u64(), std::logic_error);
-  EXPECT_EQ(Bits(65, 42).low_u64(), 42u);
-}
-
-TEST(BitsConvert, ScaledDouble) {
-  EXPECT_DOUBLE_EQ(Bits(10, 0x300).to_double_scaled(8), 3.0);
-  EXPECT_DOUBLE_EQ(Bits(4, 0x8).to_double_scaled(4), 0.5);
-}
-
-TEST(BitsLzd64, Reference) {
-  EXPECT_EQ(lzd64(0, 8), 8u);
-  EXPECT_EQ(lzd64(1, 8), 7u);
-  EXPECT_EQ(lzd64(0x80, 8), 0u);
-  EXPECT_EQ(lzd64(0x40, 8), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,24 +167,9 @@ TEST_P(BitsModelTest, ArithmeticMatchesModel) {
     const Bits b = make(w, xb);
 
     EXPECT_EQ(value_of(a + b), (xa + xb) & m);
-    EXPECT_EQ(value_of(a - b), (xa - xb) & m);
     EXPECT_EQ(value_of(a.negate()), (~xa + 1) & m);
     EXPECT_EQ(value_of(~a), ~xa & m);
-    EXPECT_EQ(value_of(a & b), xa & xb);
-    EXPECT_EQ(value_of(a | b), xa | xb);
-    EXPECT_EQ(value_of(a ^ b), xa ^ xb);
-    EXPECT_EQ(a.ult(b), xa < xb);
     EXPECT_EQ(a == b, xa == xb);
-
-    const auto signed_of = [&](u128 v) -> __int128 {
-      if (w < 128 && (v >> (w - 1)) & 1) {
-        return static_cast<__int128>(v) - static_cast<__int128>(u128{1} << w);
-      }
-      return static_cast<__int128>(v);
-    };
-    if (w < 128) {
-      EXPECT_EQ(a.slt(b), signed_of(xa) < signed_of(xb));
-    }
   }
 }
 
@@ -282,7 +208,10 @@ TEST_P(BitsModelTest, SliceConcatInverse) {
     const std::size_t cut = 1 + rng() % (w - 1);
     const Bits hi = a.slice(w - 1, cut);
     const Bits lo = a.slice(cut - 1, 0);
-    EXPECT_EQ(Bits::concat(hi, lo), a);
+    EXPECT_EQ(hi.width(), w - cut);
+    EXPECT_EQ(lo.width(), cut);
+    EXPECT_EQ(value_of(hi), xa >> cut);
+    EXPECT_EQ(value_of(lo), xa & mask_for(cut));
   }
 }
 

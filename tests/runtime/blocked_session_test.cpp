@@ -56,11 +56,11 @@ TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
 
     // Reference: the per-sample step recurrence, pool of 1.
     Session reference(Model::create(nn::quantize(net, fmt), ForwardPath::kStep));
-    EXPECT_EQ(reference.preferred_batch_multiple(), 1u);
+    EXPECT_EQ(reference.model().preferred_tile(), 1u);
 
     for (const std::size_t pool : {1u, 2u, 8u}) {
       Session blocked(model, {.num_threads = pool});
-      EXPECT_EQ(blocked.preferred_batch_multiple(), tile);
+      EXPECT_EQ(blocked.model().preferred_tile(), tile);
       for (const std::size_t rows : shapes) {
         const BatchView view(std::span<const double>(flat).first(rows * net.input_dim()),
                              net.input_dim());
@@ -92,8 +92,8 @@ TEST(BlockedSession, ForcedScalarKernelIsBitIdenticalToDispatched) {
 
   Session a(dispatched, {2});
   Session b(forced, {2});
-  const std::size_t rows = 2 * std::max(a.preferred_batch_multiple(),
-                                        b.preferred_batch_multiple()) + 3;
+  const std::size_t rows = 2 * std::max(a.model().preferred_tile(),
+                                        b.model().preferred_tile()) + 3;
   const std::vector<double> flat = random_batch(rows, net.input_dim(), 13);
   const BatchView view(flat, net.input_dim());
   EXPECT_EQ(a.forward_bits(view).data, b.forward_bits(view).data)
@@ -110,7 +110,7 @@ TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
   EXPECT_STREQ(model->kernel_name(), "none");
   // A Session over a step model transparently runs the per-sample path.
   Session session(model, {2});
-  EXPECT_EQ(session.preferred_batch_multiple(), 1u);
+  EXPECT_EQ(session.model().preferred_tile(), 1u);
   const std::vector<double> flat = random_batch(9, net.input_dim(), 3);
   EXPECT_EQ(session.predict(BatchView(flat, net.input_dim())).size(), 9u);
 
@@ -171,15 +171,6 @@ TEST(BlockedSession, BatcherTileAlignedFlushesHonorMaxWaitForLoneRequests) {
   batcher.shutdown();
   const serve::BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.completed, burst + 1);
-}
-
-TEST(BlockedSession, ExplicitTileAlignOverrideWins) {
-  const nn::Mlp net = random_net();
-  const auto model = Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 0}}));
-  serve::BatcherOptions opts;
-  opts.tile_align = 3;
-  serve::DynamicBatcher batcher(model, opts);
-  EXPECT_EQ(batcher.tile(), 3u);
 }
 
 }  // namespace

@@ -170,7 +170,7 @@ TEST(RuntimeSession, SharedModelServesManySessions) {
   const auto model = Model::create(nn::quantize(net, num::Format{num::PositFormat{7, 0}}));
   Session a(model, {1});
   Session b(model, {4});
-  EXPECT_EQ(a.model_ptr().get(), b.model_ptr().get());
+  EXPECT_EQ(&a.model(), &b.model());
   const std::vector<double> flat = random_batch(12, net.input_dim(), 3);
   const BatchView view(flat, net.input_dim());
   EXPECT_EQ(a.predict(view), b.predict(view));
