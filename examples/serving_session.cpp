@@ -38,7 +38,7 @@ int main() {
   // 3. Each client holds a Session: per-client scratch state plus a worker
   //    pool created once at construction and only woken per submit.
   runtime::Session serial(model);            // pool of 1: runs inline
-  runtime::Session pooled(model, {4});       // 3 spawned workers + submitter
+  runtime::Session pooled(model, {4, nullptr});       // 3 spawned workers + submitter
   std::printf("[3] sessions ready: serial=%zu thread, pooled=%zu threads\n",
               serial.num_threads(), pooled.num_threads());
 

@@ -93,7 +93,7 @@ namespace {
 FormatResult evaluate_packed(const TrainedTask& task, const num::Format& fmt,
                              runtime::BatchView test_x, std::size_t num_threads) {
   runtime::Session session(runtime::Model::create(nn::quantize(task.net, fmt)),
-                           {num_threads});
+                           {num_threads, nullptr});
   FormatResult r{fmt, 0, 0};
   r.accuracy = session.accuracy(test_x, task.split.test.y);
   r.degradation_points = (task.float32_test_accuracy - r.accuracy) * 100.0;
@@ -124,7 +124,7 @@ AssignmentResult evaluate_assignment(const TrainedTask& task,
   const runtime::BatchView view(flat, task.net.input_dim());
   nn::QuantizedNetwork qnet = nn::quantize(task.net, fmts);
   AssignmentResult r{{fmts.begin(), fmts.end()}, 0, 0, qnet.bits_per_weight()};
-  runtime::Session session(runtime::Model::create(std::move(qnet)), {num_threads});
+  runtime::Session session(runtime::Model::create(std::move(qnet)), {num_threads, nullptr});
   r.accuracy = session.accuracy(view, task.split.test.y);
   r.degradation_points = (task.float32_test_accuracy - r.accuracy) * 100.0;
   return r;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "numeric/fixedpoint.hpp"
 #include "numeric/minifloat.hpp"
@@ -48,9 +49,11 @@ std::uint32_t readout_fixed(const AccKulischWide&, const num::FixedFormat&) {
 
 /// Final exact reduction of one finished lane: the same NaR/zero/readout/
 /// encode sequence as each EMAC model's result(), so the rounded pattern is
-/// bit-identical by construction.
+/// bit-identical by construction. Declared inline so the compiler folds it
+/// into the per-lane readout loops: at fan-ins of 4-16 the readout is most
+/// of a kernel's time.
 template <typename Acc>
-std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds) {
+inline std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds) {
   switch (spec.fmt.kind()) {
     case num::Kind::kPosit: {
       const num::PositFormat& f = spec.fmt.posit();
@@ -76,7 +79,7 @@ std::uint32_t readout_acc(const KernelSpec& spec, const Acc& acc, unsigned kinds
 
 /// The portable register-blocked kernel: an 8-sample tile, one accum.hpp
 /// policy value per lane, the exact step() integer per lane. Works for
-/// all three register widths (the AVX2 kernel only covers the int64 case).
+/// all three register widths and every (format, k) the bound admits.
 template <typename Acc>
 class ScalarBlockedKernel final : public MatmulKernel {
  public:
@@ -130,17 +133,71 @@ std::unique_ptr<MatmulKernel> make_scalar_kernel(const KernelSpec& spec) {
   throw std::logic_error("MatmulKernel: bad accumulator kind");
 }
 
+/// The 256-bit register of one lane from its banded limbs (limb j at
+/// lane[j * kMaxKernelTile]) and the bias image, in one signed-carry pass
+/// over its eight 32-bit digits rather than one 256-bit add per term. Limb
+/// and bias slice each fit int64 (< 2^62 by the limb gate), so the carry
+/// never leaves __int128.
+AccKulischWide combine_limbs_wide(const std::int64_t* lane, std::size_t limbs,
+                                  std::int64_t bias_ssig, std::int32_t bias_shift) {
+  AccKulischWide acc;
+  __int128 carry = 0;
+  for (std::size_t d = 0; d < 8; ++d) {
+    if (d < limbs) carry += lane[d * kMaxKernelTile];
+    if (d == static_cast<std::size_t>(bias_shift >> 5)) {
+      carry += static_cast<__int128>(bias_ssig) << (bias_shift & 31);
+    }
+    acc.v.w[d / 2] |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(carry))
+                      << (32 * (d % 2));
+    carry >>= 32;  // arithmetic shift: the digits stay two's complement
+  }
+  return acc;
+}
+
+template <typename Acc>
+void readout_limbs(const KernelSpec& spec, const std::int64_t* limbs, std::size_t samples,
+                   std::int64_t bias_ssig, std::int32_t bias_shift, unsigned row_kinds,
+                   const std::uint8_t* lane_kinds, std::uint32_t* out) {
+  for (std::size_t s = 0; s < samples; ++s) {
+    Acc acc;
+    if constexpr (std::is_same_v<Acc, AccKulischWide>) {
+      acc = combine_limbs_wide(limbs + s, spec.limbs, bias_ssig, bias_shift);
+    } else {
+      acc.add_product(bias_ssig, bias_shift);
+      for (std::size_t j = 0; j < spec.limbs; ++j) {
+        acc.add_product(limbs[j * kMaxKernelTile + s], static_cast<int>(32 * j));
+      }
+    }
+    out[s] = readout_acc(spec, acc, row_kinds | lane_kinds[s]);
+  }
+}
+
 }  // namespace
 
-std::uint32_t readout_kernel_lane_i64(const KernelSpec& spec, std::int64_t acc,
-                                      unsigned kinds) {
-  return readout_acc(spec, AccKulisch64{acc}, kinds);
+void readout_kernel_limbs(const KernelSpec& spec, const std::int64_t* limbs,
+                          std::size_t samples, std::int64_t bias_ssig,
+                          std::int32_t bias_shift, unsigned row_kinds,
+                          const std::uint8_t* lane_kinds, std::uint32_t* out) {
+  switch (spec.acc_kind) {
+    case AccKind::kI64:
+      return readout_limbs<AccKulisch64>(spec, limbs, samples, bias_ssig, bias_shift,
+                                         row_kinds, lane_kinds, out);
+    case AccKind::kI128:
+      return readout_limbs<AccKulisch128>(spec, limbs, samples, bias_ssig, bias_shift,
+                                          row_kinds, lane_kinds, out);
+    case AccKind::kWide:
+      return readout_limbs<AccKulischWide>(spec, limbs, samples, bias_ssig, bias_shift,
+                                           row_kinds, lane_kinds, out);
+  }
+  throw std::logic_error("MatmulKernel: bad accumulator kind");
 }
 
 bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
   out = KernelSpec(fmt);
   out.k = k;
   if (k == 0) return false;
+  std::size_t prod_bits = 0;  // |ssig_w * ssig_a| < 2^prod_bits
+  std::size_t max_shift = 0;  // largest sf_w + sf_a + sf_bias
   switch (fmt.kind()) {
     case num::Kind::kPosit: {
       const num::PositFormat& f = fmt.posit();
@@ -150,6 +207,8 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       out.sf_bias = static_cast<std::int32_t>(2 * s);
       out.zero_sf = 0;
       out.frame = 2 * s + 2 * (p - 1);
+      prod_bits = 2 * static_cast<std::size_t>(p);
+      max_shift = 4 * static_cast<std::size_t>(s);  // sf in [-S, S]
       // |shifted product| < 2^(4S + 2P); bias image < 2^(3S + P); k + 1
       // terms need bit_width(k) + 1 headroom, +1 sign.
       out.need_bits = 4 * static_cast<std::size_t>(s) + 2 * static_cast<std::size_t>(p) +
@@ -161,6 +220,9 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       out.sf_bias = -2;
       out.zero_sf = 1;  // zero patterns decode with effective exponent 1
       out.frame = 2 * f.bias() + 2 * f.wf - 2;
+      prod_bits = 2 * static_cast<std::size_t>(f.wf + 1);
+      // sf is the raw biased exponent, at most expmax + 1 (Inf/NaN patterns).
+      max_shift = 2 * static_cast<std::size_t>(f.expmax());
       out.need_bits = 2 * static_cast<std::size_t>(f.expmax()) +
                       2 * static_cast<std::size_t>(f.wf) + 2 +
                       static_cast<std::size_t>(std::bit_width(k)) + 1;
@@ -171,6 +233,7 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
       out.sf_bias = 0;
       out.zero_sf = 0;
       out.fixed_q = f.q;
+      prod_bits = 2 * static_cast<std::size_t>(f.n) - 1;  // |raw| <= 2^(n-1)
       // |product| < 2^(2n-2); the bias image raw << q is no larger.
       out.need_bits = 2 * static_cast<std::size_t>(f.n - 1) +
                       static_cast<std::size_t>(std::bit_width(k)) + 2;
@@ -183,6 +246,13 @@ bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out) {
   }
   if (out.need_bits > 250) return false;  // same ceiling as the EMAC units
   out.acc_kind = select_acc_kind(out.need_bits);
+  // A band's limb sums k products pre-shifted by < 32: under
+  // 2^(prod_bits + 31 + bit_width(k)), +1 sign, within the 62-bit int64 cap.
+  if (out.acc_kind == AccKind::kI64) {
+    out.limbs = 1;
+  } else if (prod_bits + 31 + static_cast<std::size_t>(std::bit_width(k)) + 1 <= 62) {
+    out.limbs = max_shift / 32 + 1;  // max_shift < need_bits <= 250: <= kMaxKernelLimbs
+  }
   return true;
 }
 
@@ -205,8 +275,7 @@ std::unique_ptr<MatmulKernel> MatmulKernel::create(const num::Format& fmt, std::
   KernelSpec spec(fmt);
   if (!make_kernel_spec(fmt, k, spec)) return nullptr;
 #if defined(DP_HAVE_AVX2_KERNEL)
-  if (spec.acc_kind == AccKind::kI64 && !scalar_kernel_forced() &&
-      __builtin_cpu_supports("avx2")) {
+  if (spec.limbs != 0 && !scalar_kernel_forced() && __builtin_cpu_supports("avx2")) {
     return make_avx2_kernel(spec);
   }
 #endif

@@ -22,9 +22,11 @@
 // (tests/emac/kernel_differential_test.cpp).
 //
 // Two implementations sit behind MatmulKernel::create():
-//  * avx2 — 4 int64 lanes per ymm register, 4 registers = a 16-sample tile;
-//    only eligible when the bound selects the int64 accumulator (AccKind::
-//    kI64 — the whole paper grid n 5-8 qualifies) and the CPU reports AVX2.
+//  * avx2 — a 16-sample tile of 4-lane ymm groups; each lane keeps
+//    KernelSpec::limbs int64 limbs, one per 32-bit band of product shifts,
+//    which combine exactly into the spec's register once per (row, lane).
+//    Eligible when a band's sum fits int64 (limbs != 0 — the whole paper
+//    grid n 5-8 qualifies) and the CPU reports AVX2.
 //  * scalar-blocked — portable fallback, 8-sample tile, same layout, the
 //    accumulators are plain accum.hpp policy values (all three widths).
 // DP_FORCE_SCALAR_KERNEL=1 (any value other than unset/empty/"0") forces the
@@ -46,6 +48,10 @@ namespace dp::emac {
 /// Hard upper bound on any kernel's sample tile (lanes of on-stack
 /// accumulator arrays). matmul() accepts any samples <= min(stride, this).
 inline constexpr std::size_t kMaxKernelTile = 16;
+
+/// Most int64 limbs an AVX2 lane can need: every product shift is below the
+/// 250-bit register ceiling, so at most eight 32-bit bands.
+inline constexpr std::size_t kMaxKernelLimbs = 8;
 
 /// Everything the inner loops and the final readout need, precomputed once
 /// per (format, k) at kernel creation. The shift constants place every
@@ -70,6 +76,11 @@ struct KernelSpec {
   /// eq. (3)/(4) width (tests/emac/kernel_bound_test.cpp).
   std::size_t need_bits = 0;
   AccKind acc_kind = AccKind::kI64;
+  /// int64 limbs per AVX2 lane: 1 when the whole bound fits int64 (kI64),
+  /// else one per 32-bit band of product shifts; 0 when a band's sum of k
+  /// products could overflow int64, which leaves the format to
+  /// scalar-blocked (proof in kernel_avx2.cpp).
+  std::size_t limbs = 0;
 };
 
 /// A weight plane re-packed for the blocked kernels: per-element signed
@@ -107,7 +118,7 @@ class MatmulKernel {
 
   /// Dispatched factory: the fastest eligible kernel for this (format, k) on
   /// this CPU — AVX2 when compiled in, supported at runtime, not forced off
-  /// via DP_FORCE_SCALAR_KERNEL, and the bound fits int64; the portable
+  /// via DP_FORCE_SCALAR_KERNEL, and spec().limbs != 0; the portable
   /// scalar-blocked kernel otherwise. Returns nullptr when no kernel
   /// supports the combination (bound beyond 250 bits, zero k): callers fall
   /// back to the step() recurrence.
@@ -157,14 +168,19 @@ class MatmulKernel {
 /// exceeds the 250-bit policy ceiling). Exposed for the bound tests.
 bool make_kernel_spec(const num::Format& fmt, std::size_t k, KernelSpec& out);
 
-/// Final exact reduction of one finished int64 lane (the AVX2 spill path):
-/// identical to the scalar kernel's AccKulisch64 readout.
-std::uint32_t readout_kernel_lane_i64(const KernelSpec& spec, std::int64_t acc,
-                                      unsigned kinds);
+/// Final exact reduction of one finished AVX2 weight row. For each lane
+/// s < samples: the bias image plus spec.limbs int64 limbs (limb j at
+/// limbs[j * kMaxKernelTile + s], weighted 2^(32j)) summed into the spec's
+/// register, then the scalar kernel's readout under row_kinds |
+/// lane_kinds[s]; the pattern lands in out[s].
+void readout_kernel_limbs(const KernelSpec& spec, const std::int64_t* limbs,
+                          std::size_t samples, std::int64_t bias_ssig,
+                          std::int32_t bias_shift, unsigned row_kinds,
+                          const std::uint8_t* lane_kinds, std::uint32_t* out);
 
 #if defined(DP_HAVE_AVX2_KERNEL)
 /// Internal: the AVX2 kernel (kernel_avx2.cpp, compiled with -mavx2).
-/// Requires spec.acc_kind == AccKind::kI64; call through create().
+/// Requires spec.limbs != 0; call through create().
 std::unique_ptr<MatmulKernel> make_avx2_kernel(const KernelSpec& spec);
 #endif
 

@@ -44,10 +44,12 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
   if (path_ == ForwardPath::kStep) return;
   // Blocked kernels are all-or-nothing, so forward_tile_into never mixes
   // kernel and step layers. Dispatch (AVX2 vs portable,
-  // DP_FORCE_SCALAR_KERNEL) — and with it the accumulator width — is
-  // resolved PER LAYER, against each layer's own format: in a mixed model
-  // one layer may take the AVX2 int64 kernel while a wider-quire neighbour
-  // takes the scalar-blocked one (kernel_name() then reports "mixed").
+  // DP_FORCE_SCALAR_KERNEL) — and with it the accumulator width and the
+  // AVX2 limb count — is resolved PER LAYER, against each layer's own
+  // format: in a mixed model one layer may take the AVX2 kernel while a
+  // neighbour whose products are too wide for an int64 limb (posit<16,1>
+  // at fan-in 16 or more) takes the scalar-blocked one (kernel_name() then
+  // reports "mixed").
   for (std::size_t li = 0; li < net_.layers.size(); ++li) {
     auto kern = emac::MatmulKernel::create(net_.layer_format(li), net_.layers[li].fan_in);
     if (kern == nullptr) {

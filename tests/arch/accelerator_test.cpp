@@ -67,7 +67,7 @@ TEST(Accelerator, StreamingBeatsLatencyRate) {
 }
 
 TEST(Accelerator, RejectsEmptyNetwork) {
-  nn::QuantizedNetwork empty{num::Format{num::PositFormat{8, 1}}, {}};
+  nn::QuantizedNetwork empty{num::Format{num::PositFormat{8, 1}}, {}, {}};
   EXPECT_THROW(simulate(empty), std::invalid_argument);
 }
 

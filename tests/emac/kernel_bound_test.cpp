@@ -18,7 +18,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "emac/accum.hpp"
@@ -114,12 +116,14 @@ u128 bias_image(const MatmulKernel& kern, std::uint32_t bias_bits) {
 }
 
 /// Both kernels (dispatched + forced scalar) against the step() oracle on a
-/// fully specified adversarial plane, every output word.
+/// fully specified adversarial plane, every output word. The oracle's
+/// outputs ([s*rows + r]) land in *oracle when given.
 void expect_kernels_match_step(const num::Format& fmt, std::size_t k,
                                const std::vector<std::uint32_t>& weight_bits,
                                const std::vector<std::uint32_t>& bias_bits,
                                const std::vector<std::uint32_t>& act_bits,  // [s*k+i]
-                               std::size_t samples) {
+                               std::size_t samples,
+                               std::vector<std::uint32_t>* oracle = nullptr) {
   const std::size_t rows = bias_bits.size();
   ASSERT_EQ(weight_bits.size(), rows * k);
   ASSERT_EQ(act_bits.size(), samples * k);
@@ -135,6 +139,7 @@ void expect_kernels_match_step(const num::Format& fmt, std::size_t k,
       expected[s * rows + r] = unit->result();
     }
   }
+  if (oracle != nullptr) *oracle = expected;
 
   std::vector<DecodedOp> wdec(weight_bits.size());
   unit->decode_plane(weight_bits.data(), weight_bits.size(), wdec.data());
@@ -162,6 +167,81 @@ void expect_kernels_match_step(const num::Format& fmt, std::size_t k,
       }
     }
   }
+}
+
+/// The paper-grid formats whose AVX2 lanes split into shift-band limbs
+/// (KernelSpec::limbs > 1) at fan-in k.
+std::vector<num::Format> banded_grid_formats(std::size_t k) {
+  std::vector<num::Format> out;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      KernelSpec spec(fmt);
+      if (make_kernel_spec(fmt, k, spec) && spec.limbs > 1) out.push_back(fmt);
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> finite_patterns(const num::Format& fmt) {
+  const std::uint32_t mask = (1u << fmt.total_bits()) - 1u;
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t bits = 0; bits <= mask; ++bits) {
+    if (decode_operand(bits, fmt).kind == DecodedOp::kFinite) out.push_back(bits);
+  }
+  return out;
+}
+
+/// Every product shift sf_w + sf_a + sf_bias some finite operand pair reaches.
+std::set<int> reachable_shifts(const KernelSpec& spec) {
+  std::set<int> sfs;
+  for (const std::uint32_t bits : finite_patterns(spec.fmt)) {
+    sfs.insert(decode_operand(bits, spec.fmt).sf);
+  }
+  std::set<int> out;
+  for (const int a : sfs) {
+    for (const int b : sfs) out.insert(a + b + spec.sf_bias);
+  }
+  return out;
+}
+
+/// One (weight, activation) operand pair and what it adds to an AVX2 limb:
+/// |ssig_w * ssig_a| << (shift & 31) into limb shift >> 5.
+struct LimbPair {
+  std::uint32_t w = 0;
+  std::uint32_t a = 0;
+  int shift = -1;  ///< -1: no pair found
+  u128 term = 0;
+};
+
+/// The finite operand pair with the largest limb term among those whose
+/// product shift satisfies `want`.
+template <typename Pred>
+LimbPair max_limb_pair(const KernelSpec& spec, Pred want) {
+  const std::vector<std::uint32_t> finite = finite_patterns(spec.fmt);
+  LimbPair best;
+  for (const std::uint32_t w : finite) {
+    const DecodedOp dw = decode_operand(w, spec.fmt);
+    for (const std::uint32_t a : finite) {
+      const DecodedOp da = decode_operand(a, spec.fmt);
+      const int shift = dw.sf + da.sf + spec.sf_bias;
+      if (!want(shift)) continue;
+      const u128 term = abs_i128(static_cast<i128>(dw.ssig) * da.ssig) << (shift & 31);
+      if (best.shift < 0 || term > best.term) best = {w, a, shift, term};
+    }
+  }
+  return best;
+}
+
+/// The pattern of the same magnitude and scale with the opposite sign.
+std::uint32_t negated_pattern(const num::Format& fmt, std::uint32_t bits) {
+  const DecodedOp d = decode_operand(bits, fmt);
+  const std::uint32_t mask = (1u << fmt.total_bits()) - 1u;
+  for (std::uint32_t n = 0; n <= mask; ++n) {
+    const DecodedOp e = decode_operand(n, fmt);
+    if (e.kind == DecodedOp::kFinite && e.ssig == -d.ssig && e.sf == d.sf) return n;
+  }
+  ADD_FAILURE() << fmt.name() << ": no negation of pattern " << bits;
+  return bits;
 }
 
 TEST(KernelBound, SpecSelectsTheRegisterItsBoundRequires) {
@@ -343,6 +423,139 @@ TEST(KernelBound, NaRAndZeroInterleavesPropagateExactly) {
       }
     }
   }
+}
+
+// --- Banded int64 limbs (the AVX2 lanes of the wide-quire formats) --------
+//
+// For these formats each AVX2 lane sums the products of one 32-bit shift
+// band into its own int64 limb, pre-shifted by shift & 31. The cases below
+// attack that split: k maximal terms piled into a single band, the same
+// terms cancelling exactly, and products sitting on either side of each
+// band edge. Each is checked bit for bit against the step() oracle, through
+// create() (the AVX2 kernel on an AVX2 host) and create_scalar().
+
+constexpr std::size_t kBandedK = 255;  // bit_width 8 at its largest value
+
+TEST(KernelBound, EveryBandedFormatIsCoveredAndItsLimbsSpanEveryShift) {
+  // The eight grid formats past the int64 bound (docs/performance.md); and
+  // limbs is tight: the largest product shift falls in the last limb.
+  const std::vector<num::Format> banded = banded_grid_formats(kBandedK);
+  EXPECT_EQ(banded.size(), 8u);
+  for (const num::Format& fmt : banded) {
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, kBandedK, spec));
+    const LimbPair top = max_limb_pair(spec, [](int) { return true; });
+    const int max_shift = *reachable_shifts(spec).rbegin();
+    EXPECT_EQ(static_cast<std::size_t>(max_shift / 32) + 1, spec.limbs) << fmt.name();
+
+    // The limb gate against the decoded operands: at the largest k the
+    // gate admits, k copies of the largest limb term still leave the sign
+    // bit and one margin bit of int64 free; one more bit of k closes it.
+    std::size_t k_max = 0;
+    for (int m = std::bit_width(kBandedK); m < 40; ++m) {
+      const std::size_t k = (std::size_t{1} << m) - 1;
+      KernelSpec s2(fmt);
+      if (!make_kernel_spec(fmt, k, s2) || s2.limbs <= 1) break;
+      k_max = k;
+    }
+    ASSERT_GE(k_max, kBandedK) << fmt.name();
+    EXPECT_LT(top.term * k_max, static_cast<u128>(1) << 61) << fmt.name();
+    KernelSpec past(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, k_max + 1, past));
+    EXPECT_EQ(past.limbs, 0u) << fmt.name();
+  }
+}
+
+TEST(KernelBound, MaxMagnitudeProductsPiledIntoOneBandStayExact) {
+  const std::size_t samples = 5;  // one full and one ragged lane group
+  for (const num::Format& fmt : banded_grid_formats(kBandedK)) {
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, kBandedK, spec));
+    const Extremes e = find_extremes(fmt);
+    for (std::size_t band = 0; band < spec.limbs; ++band) {
+      const LimbPair p = max_limb_pair(
+          spec, [band](int shift) { return static_cast<std::size_t>(shift) / 32 == band; });
+      ASSERT_GE(p.shift, 0) << fmt.name() << " band " << band;
+      const std::vector<std::uint32_t> weights(2 * kBandedK, p.w);
+      const std::vector<std::uint32_t> bias{e.max_mag, e.min_val};
+      const std::vector<std::uint32_t> acts(samples * kBandedK, p.a);
+      expect_kernels_match_step(fmt, kBandedK, weights, bias, acts, samples);
+    }
+  }
+}
+
+TEST(KernelBound, AlternatingSignsCancelExactlyWithinOneBand) {
+  // An even count of +t, -t terms: every limb returns to zero, so the row
+  // reads out its bias alone.
+  const std::size_t k = kBandedK - 1;
+  const std::size_t samples = 5;
+  for (const num::Format& fmt : banded_grid_formats(k)) {
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, k, spec));
+    const Extremes e = find_extremes(fmt);
+    std::unique_ptr<Emac> unit = make_emac(fmt, k);
+    for (std::size_t band = 0; band < spec.limbs; ++band) {
+      const LimbPair p = max_limb_pair(
+          spec, [band](int shift) { return static_cast<std::size_t>(shift) / 32 == band; });
+      ASSERT_GE(p.shift, 0) << fmt.name() << " band " << band;
+      const std::uint32_t neg = negated_pattern(fmt, p.w);
+      std::vector<std::uint32_t> weights(k);
+      for (std::size_t i = 0; i < k; ++i) weights[i] = i % 2 == 0 ? p.w : neg;
+      const std::vector<std::uint32_t> bias{e.max_mag};
+      const std::vector<std::uint32_t> acts(samples * k, p.a);
+      std::vector<std::uint32_t> oracle;
+      expect_kernels_match_step(fmt, k, weights, bias, acts, samples, &oracle);
+      unit->reset(e.max_mag);
+      for (const std::uint32_t out : oracle) {
+        EXPECT_EQ(out, unit->result()) << fmt.name() << " band " << band;
+      }
+    }
+  }
+}
+
+TEST(KernelBound, ProductsOnBothSidesOfEveryBandEdgeStayExact) {
+  // The largest term of the last shift below each edge 32j next to one of
+  // the first shift at or above it (31/32, 63/64, ... where the format
+  // reaches those shifts), interleaved in one row, then with the upper side
+  // negated so the row straddles zero.
+  const std::size_t samples = 5;
+  std::set<int> exact_edge_shifts;
+  for (const num::Format& fmt : banded_grid_formats(kBandedK)) {
+    KernelSpec spec(fmt);
+    ASSERT_TRUE(make_kernel_spec(fmt, kBandedK, spec));
+    const Extremes e = find_extremes(fmt);
+    const std::set<int> shifts = reachable_shifts(spec);
+    for (std::size_t band = 1; band < spec.limbs; ++band) {
+      const int edge = static_cast<int>(32 * band);
+      const auto first_above = shifts.lower_bound(edge);
+      ASSERT_NE(first_above, shifts.end()) << fmt.name() << " edge " << edge;
+      ASSERT_NE(first_above, shifts.begin()) << fmt.name() << " edge " << edge;
+      const int lo = *std::prev(first_above);
+      const int hi = *first_above;
+      if (lo == edge - 1) exact_edge_shifts.insert(lo);
+      if (hi == edge) exact_edge_shifts.insert(hi);
+      const LimbPair below = max_limb_pair(spec, [lo](int s) { return s == lo; });
+      const LimbPair above = max_limb_pair(spec, [hi](int s) { return s == hi; });
+      const std::uint32_t above_neg = negated_pattern(fmt, above.w);
+      std::vector<std::uint32_t> weights;
+      std::vector<std::uint32_t> acts(samples * kBandedK);
+      for (std::size_t i = 0; i < kBandedK; ++i) {
+        weights.push_back(i % 2 == 0 ? below.w : above.w);
+      }
+      for (std::size_t i = 0; i < kBandedK; ++i) {
+        weights.push_back(i % 2 == 0 ? below.w : above_neg);
+      }
+      for (std::size_t s = 0; s < samples; ++s) {
+        for (std::size_t i = 0; i < kBandedK; ++i) {
+          acts[s * kBandedK + i] = i % 2 == 0 ? below.a : above.a;
+        }
+      }
+      const std::vector<std::uint32_t> bias{e.max_mag, e.min_val};
+      expect_kernels_match_step(fmt, kBandedK, weights, bias, acts, samples);
+    }
+  }
+  // The grid reaches both sides of the first two edges exactly somewhere.
+  for (const int s : {31, 32, 63, 64}) EXPECT_EQ(exact_edge_shifts.count(s), 1u) << s;
 }
 
 }  // namespace

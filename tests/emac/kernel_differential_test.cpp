@@ -21,7 +21,8 @@
 // all-zero, all-NaR), over the grid plus wider formats, against the
 // RTL-faithful unit too; the register each spec selects, and the fallback
 // when none is wide enough; and the shared decode table every unit and
-// kernel reads operands through.
+// kernel reads operands through. KernelDispatch pins which kernel, and how
+// many AVX2 limbs, each grid format gets at the Table II fan-ins.
 
 #include "emac/kernel.hpp"
 
@@ -30,6 +31,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -345,6 +349,84 @@ TEST(DotEquivalence, NarrowAccumulatorSelection) {
     KernelSpec spec(p.fmt);
     ASSERT_TRUE(make_kernel_spec(p.fmt, p.k, spec)) << p.fmt.name() << " k=" << p.k;
     EXPECT_EQ(spec.acc_kind, p.kind) << p.fmt.name() << " k=" << p.k;
+  }
+}
+
+/// True when create() should hand out the AVX2 kernel wherever the spec
+/// admits it: compiled in, reported by the CPU, not forced off.
+bool avx2_dispatch_expected() {
+#if defined(DP_HAVE_AVX2_KERNEL)
+  const char* forced = std::getenv("DP_FORCE_SCALAR_KERNEL");
+  if (forced != nullptr && *forced != '\0' && std::strcmp(forced, "0") != 0) return false;
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+/// Table II layer fan-ins: Iris 4, WBC 30, Mushroom 119 inputs; hidden
+/// widths 16, 32 and 8.
+constexpr std::size_t kTableIIFanIns[] = {4, 30, 119, 16, 32, 8};
+
+TEST(KernelDispatch, BandedLimbCountsAndTheLimbGate) {
+  // The grid formats whose quire bound exceeds int64 keep one int64 limb
+  // per 32-bit shift band: B = max_shift / 32 + 1, with max_shift 4S for
+  // posits and 2 * expmax for floats. posit<6,2>'s largest shift is exactly
+  // 64, the first shift of a third band.
+  const struct {
+    num::Format fmt;
+    std::size_t limbs;
+  } banded[] = {{num::PositFormat{8, 1}, 2}, {num::FloatFormat{5, 1}, 2},
+                {num::FloatFormat{5, 2}, 2}, {num::PositFormat{6, 2}, 3},
+                {num::PositFormat{7, 2}, 3}, {num::PositFormat{8, 2}, 4},
+                {num::PositFormat{7, 3}, 6}, {num::PositFormat{8, 3}, 7}};
+  std::size_t banded_in_grid = 0;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      for (const std::size_t k : kTableIIFanIns) {
+        KernelSpec spec(fmt);
+        ASSERT_TRUE(make_kernel_spec(fmt, k, spec)) << fmt.name() << " k=" << k;
+        EXPECT_NE(spec.limbs, 0u) << fmt.name() << " k=" << k;
+        EXPECT_EQ(spec.limbs == 1, spec.acc_kind == AccKind::kI64) << fmt.name();
+      }
+      KernelSpec spec(fmt);
+      ASSERT_TRUE(make_kernel_spec(fmt, 119, spec));
+      if (spec.limbs > 1) ++banded_in_grid;
+    }
+  }
+  EXPECT_EQ(banded_in_grid, std::size(banded));
+  for (const auto& p : banded) {
+    for (const std::size_t k : kTableIIFanIns) {
+      KernelSpec spec(p.fmt);
+      ASSERT_TRUE(make_kernel_spec(p.fmt, k, spec)) << p.fmt.name() << " k=" << k;
+      EXPECT_NE(spec.acc_kind, AccKind::kI64) << p.fmt.name() << " k=" << k;
+      EXPECT_EQ(spec.limbs, p.limbs) << p.fmt.name() << " k=" << k;
+    }
+  }
+  // posit<16,1>: 26-bit products leave a band no room for 30 of them
+  // (26 + 31 + 5 + 1 > 62), so it has no limb count and keeps the portable
+  // kernel on every host.
+  const num::Format past_gate{num::PositFormat{16, 1}};
+  KernelSpec spec(past_gate);
+  ASSERT_TRUE(make_kernel_spec(past_gate, 30, spec));
+  EXPECT_EQ(spec.limbs, 0u);
+  const std::unique_ptr<MatmulKernel> kern = MatmulKernel::create(past_gate, 30);
+  ASSERT_NE(kern, nullptr);
+  EXPECT_STREQ(kern->name(), "scalar-blocked");
+}
+
+TEST(KernelDispatch, EveryPaperGridFormatTakesAvx2) {
+  if (!avx2_dispatch_expected()) {
+    GTEST_SKIP() << "AVX2 kernel not compiled in, not supported, or forced off";
+  }
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) {
+      for (const std::size_t k : kTableIIFanIns) {
+        const std::unique_ptr<MatmulKernel> kern = MatmulKernel::create(fmt, k);
+        ASSERT_NE(kern, nullptr) << fmt.name() << " k=" << k;
+        EXPECT_STREQ(kern->name(), "avx2") << fmt.name() << " k=" << k;
+      }
+    }
   }
 }
 

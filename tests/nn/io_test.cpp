@@ -140,7 +140,7 @@ TEST(NetworkIo, QuantizedRoundTripPreservesSpecialPatterns) {
         num::Format{x86}.from_double(-0.5), num::Format{x86}.from_double(1e30)}}};
 
   for (const Case& c : cases) {
-    QuantizedNetwork q{c.fmt, {}};
+    QuantizedNetwork q{c.fmt, {}, {}};
     QuantizedLayer layer;
     layer.fan_in = 3;
     layer.fan_out = 2;

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <future>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "nn/mlp.hpp"
@@ -59,7 +60,7 @@ TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
     EXPECT_EQ(reference.model().preferred_tile(), 1u);
 
     for (const std::size_t pool : {1u, 2u, 8u}) {
-      Session blocked(model, {.num_threads = pool});
+      Session blocked(model, {.num_threads = pool, .pool = nullptr});
       EXPECT_EQ(blocked.model().preferred_tile(), tile);
       for (const std::size_t rows : shapes) {
         const BatchView view(std::span<const double>(flat).first(rows * net.input_dim()),
@@ -79,19 +80,33 @@ TEST(BlockedSession, ForcedScalarKernelIsBitIdenticalToDispatched) {
   // DP_FORCE_SCALAR_KERNEL pins dispatch at Model construction, so a model
   // built under the env var runs the portable kernel; its outputs must match
   // a dispatched model (AVX2 where available) exactly.
+  // posit<8,1> needs a banded (two-limb) AVX2 lane, so on an AVX2 host the
+  // comparison really is AVX2 against the portable kernel.
   const nn::Mlp net = random_net();
   const num::Format fmt{num::PositFormat{8, 1}};
+  const char* outer_env = std::getenv("DP_FORCE_SCALAR_KERNEL");
+  const bool had_outer = outer_env != nullptr;
+  const std::string outer(had_outer ? outer_env : "");
   const auto dispatched = Model::create(nn::quantize(net, fmt));
+#if defined(DP_HAVE_AVX2_KERNEL)
+  if ((outer.empty() || outer == "0") && __builtin_cpu_supports("avx2")) {
+    EXPECT_STREQ(dispatched->kernel_name(), "avx2");
+  }
+#endif
 
   setenv("DP_FORCE_SCALAR_KERNEL", "1", /*overwrite=*/1);
   const auto forced = Model::create(nn::quantize(net, fmt));
-  unsetenv("DP_FORCE_SCALAR_KERNEL");
+  if (had_outer) {
+    setenv("DP_FORCE_SCALAR_KERNEL", outer.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("DP_FORCE_SCALAR_KERNEL");
+  }
 
   ASSERT_TRUE(forced->blocked_available());
   EXPECT_STREQ(forced->kernel_name(), "scalar-blocked");
 
-  Session a(dispatched, {2});
-  Session b(forced, {2});
+  Session a(dispatched, {2, nullptr});
+  Session b(forced, {2, nullptr});
   const std::size_t rows = 2 * std::max(a.model().preferred_tile(),
                                         b.model().preferred_tile()) + 3;
   const std::vector<double> flat = random_batch(rows, net.input_dim(), 13);
@@ -109,7 +124,7 @@ TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
   EXPECT_EQ(model->preferred_tile(), 1u);
   EXPECT_STREQ(model->kernel_name(), "none");
   // A Session over a step model transparently runs the per-sample path.
-  Session session(model, {2});
+  Session session(model, {2, nullptr});
   EXPECT_EQ(session.model().preferred_tile(), 1u);
   const std::vector<double> flat = random_batch(9, net.input_dim(), 3);
   EXPECT_EQ(session.predict(BatchView(flat, net.input_dim())).size(), 9u);
@@ -122,7 +137,7 @@ TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
   EXPECT_EQ(fallback->forward_path(), ForwardPath::kBlocked);
   EXPECT_FALSE(fallback->blocked_available());
   EXPECT_STREQ(fallback->kernel_name(), "none");
-  Session wide_session(fallback, {2});
+  Session wide_session(fallback, {2, nullptr});
   Session wide_step(Model::create(nn::quantize(net, wide), ForwardPath::kStep));
   const BatchView view(flat, net.input_dim());
   EXPECT_EQ(wide_session.forward_bits(view).data, wide_step.forward_bits(view).data);
@@ -160,7 +175,7 @@ TEST(BlockedSession, BatcherTileAlignedFlushesHonorMaxWaitForLoneRequests) {
   std::vector<std::future<serve::Reply>> futs;
   for (std::size_t i = 0; i < burst; ++i) futs.push_back(batcher.submit(view.row(i)));
 
-  Session direct(model, {1});
+  Session direct(model, {1, nullptr});
   const BatchResult<std::uint32_t> want = direct.forward_bits(view);
   for (std::size_t i = 0; i < burst; ++i) {
     const serve::Reply r = futs[i].get();

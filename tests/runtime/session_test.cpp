@@ -53,7 +53,7 @@ TEST(RuntimeSession, BitIdenticalToLegacyAcrossSweepGridBatchAndPoolSizes) {
 
       const auto model = Model::create(qnet);
       for (const std::size_t pool : {1u, 2u, 8u}) {
-        Session session(model, {pool});
+        Session session(model, {pool, nullptr});
         for (const std::size_t batch : {1u, 7u, 64u}) {
           const BatchView view(std::span<const double>(flat).first(batch * all.row_width()),
                                all.row_width());
@@ -84,7 +84,7 @@ TEST(RuntimeSession, BitIdenticalToLegacyAcrossSweepGridBatchAndPoolSizes) {
 TEST(RuntimeSession, SingleSampleSpansMatchBatchRows) {
   const nn::Mlp net = random_net();
   const num::Format fmt{num::PositFormat{8, 1}};
-  Session session(Model::create(nn::quantize(net, fmt)), {2});
+  Session session(Model::create(nn::quantize(net, fmt)), {2, nullptr});
   const std::vector<double> flat = random_batch(16, net.input_dim(), 9);
   const BatchView view(flat, net.input_dim());
 
@@ -109,8 +109,8 @@ TEST(RuntimeSession, StepAndFusedModelsAreBitIdentical) {
   for (const num::Format& fmt :
        {num::Format{num::PositFormat{8, 0}}, num::Format{num::FloatFormat{4, 3}},
         num::Format{num::FixedFormat{8, 6}}}) {
-    Session blocked(Model::create(nn::quantize(net, fmt)), {2});
-    Session step(Model::create(nn::quantize(net, fmt), ForwardPath::kStep), {2});
+    Session blocked(Model::create(nn::quantize(net, fmt)), {2, nullptr});
+    Session step(Model::create(nn::quantize(net, fmt), ForwardPath::kStep), {2, nullptr});
     const std::vector<double> flat = random_batch(24, net.input_dim(), 21);
     const BatchView view(flat, net.input_dim());
     EXPECT_EQ(blocked.forward_bits(view).data, step.forward_bits(view).data) << fmt.name();
@@ -137,7 +137,7 @@ TEST(RuntimeSession, ForwardBitsIntoWritesCallerBufferIdentically) {
   // straight into response storage): same bits as the allocating overload,
   // and a strict size check on the caller's buffer.
   const nn::Mlp net = random_net();
-  Session session(Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 0}})), {2});
+  Session session(Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 0}})), {2, nullptr});
   const std::vector<double> flat = random_batch(10, net.input_dim(), 33);
   const BatchView view(flat, net.input_dim());
 
@@ -160,7 +160,7 @@ TEST(RuntimeSession, AccuracyMatchesLegacyAndIsPoolInvariant) {
   const double ref = Session(Model::create(qnet, ForwardPath::kStep)).accuracy(view, ys);
   const auto model = Model::create(qnet);
   for (const std::size_t pool : {1u, 2u, 8u}) {
-    Session session(model, {pool});
+    Session session(model, {pool, nullptr});
     EXPECT_EQ(session.accuracy(view, ys), ref) << "pool " << pool;
   }
 }
@@ -168,8 +168,8 @@ TEST(RuntimeSession, AccuracyMatchesLegacyAndIsPoolInvariant) {
 TEST(RuntimeSession, SharedModelServesManySessions) {
   const nn::Mlp net = random_net();
   const auto model = Model::create(nn::quantize(net, num::Format{num::PositFormat{7, 0}}));
-  Session a(model, {1});
-  Session b(model, {4});
+  Session a(model, {1, nullptr});
+  Session b(model, {4, nullptr});
   EXPECT_EQ(&a.model(), &b.model());
   const std::vector<double> flat = random_batch(12, net.input_dim(), 3);
   const BatchView view(flat, net.input_dim());
@@ -179,7 +179,7 @@ TEST(RuntimeSession, SharedModelServesManySessions) {
 
 TEST(RuntimeSession, ValidatesInputs) {
   const nn::Mlp net = random_net();
-  Session session(Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 1}})), {2});
+  Session session(Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 1}})), {2, nullptr});
 
   EXPECT_THROW(Session(nullptr), std::invalid_argument);
 
@@ -207,7 +207,7 @@ TEST(RuntimeSession, ValidatesInputs) {
 TEST(RuntimeSession, HardwareConcurrencyDefaultWorks) {
   const nn::Mlp net = random_net();
   Session session(Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 1}})),
-                  {0});  // 0 = hardware concurrency
+                  {0, nullptr});  // 0 = hardware concurrency
   EXPECT_GE(session.num_threads(), 1u);
   const std::vector<double> flat = random_batch(5, net.input_dim(), 1);
   EXPECT_EQ(session.predict(BatchView(flat, net.input_dim())).size(), 5u);

@@ -164,9 +164,9 @@ TEST(ServeBatcher, ValidatesSampleDimensionAndOptions) {
   EXPECT_THROW(batcher.submit(short_x), std::invalid_argument);
 
   EXPECT_THROW(DynamicBatcher(nullptr, {}), std::invalid_argument);
-  EXPECT_THROW(DynamicBatcher(model, {.max_batch = 0}), std::invalid_argument);
-  EXPECT_THROW(DynamicBatcher(model, {.queue_capacity = 0}), std::invalid_argument);
-  EXPECT_THROW(DynamicBatcher(model, {.dispatchers = 0}), std::invalid_argument);
+  EXPECT_THROW(DynamicBatcher(model, {.max_batch = 0, .shared_pool = nullptr}), std::invalid_argument);
+  EXPECT_THROW(DynamicBatcher(model, {.queue_capacity = 0, .shared_pool = nullptr}), std::invalid_argument);
+  EXPECT_THROW(DynamicBatcher(model, {.dispatchers = 0, .shared_pool = nullptr}), std::invalid_argument);
 }
 
 // Two dispatchers, a full heavy micro-batch in flight, then a lone request:
