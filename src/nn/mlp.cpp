@@ -26,13 +26,15 @@ std::vector<float> Mlp::forward(const std::vector<float>& x) const {
   if (x.size() != input_dim()) throw std::invalid_argument("Mlp::forward: bad input size");
   std::vector<float> act = x;
   for (const auto& layer : layers_) {
-    std::vector<float> next(layer.fan_out(), 0.0f);
-    for (std::size_t j = 0; j < layer.fan_out(); ++j) {
-      float sum = layer.bias[j];
-      for (std::size_t i = 0; i < layer.fan_in(); ++i) {
-        sum += layer.weights(j, i) * act[i];
-      }
-      next[j] = (layer.activation == Activation::kReLU) ? std::max(0.0f, sum) : sum;
+    // Input index outer, skipping exact zeros: the same sums as the dense
+    // per-row loop, bit for bit (see the contract in nn/trainer.hpp).
+    std::vector<float> next = layer.bias;
+    for (std::size_t i = 0; i < layer.fan_in(); ++i) {
+      if (act[i] == 0.0f) continue;
+      for (std::size_t j = 0; j < layer.fan_out(); ++j) next[j] += layer.weights(j, i) * act[i];
+    }
+    if (layer.activation == Activation::kReLU) {
+      for (float& v : next) v = std::max(0.0f, v);
     }
     act = std::move(next);
   }
@@ -62,15 +64,19 @@ std::vector<float> Mlp::parameters() const {
 }
 
 std::vector<float> softmax(const std::vector<float>& scores) {
-  const float mx = *std::max_element(scores.begin(), scores.end());
   std::vector<float> out(scores.size());
+  softmax_into(scores, out);
+  return out;
+}
+
+void softmax_into(std::span<const float> scores, std::span<float> out) {
+  const float mx = *std::max_element(scores.begin(), scores.end());
   float sum = 0.0f;
   for (std::size_t i = 0; i < scores.size(); ++i) {
     out[i] = std::exp(scores[i] - mx);
     sum += out[i];
   }
   for (auto& v : out) v /= sum;
-  return out;
 }
 
 int argmax(const std::vector<float>& v) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "nn/tensor.hpp"
@@ -55,6 +56,9 @@ class Mlp {
 
 /// Softmax of a score vector (numerically stable).
 std::vector<float> softmax(const std::vector<float>& scores);
+
+/// The same softmax written into `out` (out.size() == scores.size()).
+void softmax_into(std::span<const float> scores, std::span<float> out);
 
 /// argmax helper.
 int argmax(const std::vector<float>& v);

@@ -132,6 +132,20 @@ TEST(Trainer, RejectsMismatchedSizes) {
   const std::vector<int> y{0, 1};
   EXPECT_THROW(train(net, x, y, {}), std::invalid_argument);
   EXPECT_THROW(accuracy(net, x, y), std::invalid_argument);
+  EXPECT_THROW(mean_cross_entropy(net, x, y), std::invalid_argument);
+
+  const std::vector<int> ok{0, 1, 0};
+  TrainConfig zero_batch;
+  zero_batch.batch_size = 0;  // would never advance
+  EXPECT_THROW(train(net, x, ok, zero_batch), std::invalid_argument);
+  for (const std::vector<int>& bad : {std::vector<int>{0, 2, 1}, std::vector<int>{-1, 0, 1}}) {
+    EXPECT_THROW(train(net, x, bad, {}), std::invalid_argument);  // label outside [0, 2)
+    EXPECT_THROW(mean_cross_entropy(net, x, bad), std::invalid_argument);
+  }
+  const Matrix wide(3, 3);  // rows wider than input_dim()
+  EXPECT_THROW(train(net, wide, ok, {}), std::invalid_argument);
+  EXPECT_THROW(mean_cross_entropy(net, wide, ok), std::invalid_argument);
+  EXPECT_EQ(net.parameters(), Mlp({2, 2}, 1).parameters());  // nothing trained
 }
 
 TEST(Matrix, MatmulAndTranspose) {
