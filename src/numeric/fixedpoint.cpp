@@ -81,8 +81,4 @@ std::uint32_t fixed_neg(std::uint32_t a, const FixedFormat& fmt) {
   return fixed_from_raw(-fixed_raw(a, fmt), fmt);
 }
 
-bool fixed_less(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt) {
-  return fixed_raw(a, fmt) < fixed_raw(b, fmt);
-}
-
 }  // namespace dp::num

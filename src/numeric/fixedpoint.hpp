@@ -46,6 +46,4 @@ std::uint32_t fixed_add(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt
 std::uint32_t fixed_mul(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt);
 std::uint32_t fixed_neg(std::uint32_t a, const FixedFormat& fmt);
 
-bool fixed_less(std::uint32_t a, std::uint32_t b, const FixedFormat& fmt);
-
 }  // namespace dp::num

@@ -256,18 +256,4 @@ std::uint32_t float_neg(std::uint32_t a, const FloatFormat& fmt) {
   return (a ^ (std::uint32_t{1} << (fmt.we + fmt.wf))) & fmt.mask();
 }
 
-std::uint32_t float_abs(std::uint32_t a, const FloatFormat& fmt) {
-  validate(fmt);
-  return a & fmt.mask() & ~(std::uint32_t{1} << (fmt.we + fmt.wf));
-}
-
-bool float_less(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt) {
-  const Decoded da = float_decode(a, fmt);
-  const Decoded db = float_decode(b, fmt);
-  if (is_nan(da) || is_nan(db)) return false;
-  const double xa = float_to_double(a, fmt);
-  const double xb = float_to_double(b, fmt);
-  return xa < xb;
-}
-
 }  // namespace dp::num

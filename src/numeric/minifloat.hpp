@@ -85,10 +85,6 @@ std::uint32_t float_from_double(double x, const FloatFormat& fmt,
 std::uint32_t float_add(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt);
 std::uint32_t float_mul(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt);
 std::uint32_t float_neg(std::uint32_t a, const FloatFormat& fmt);
-std::uint32_t float_abs(std::uint32_t a, const FloatFormat& fmt);
-
-/// IEEE-style compare; NaN is unordered (returns false).
-bool float_less(std::uint32_t a, std::uint32_t b, const FloatFormat& fmt);
 
 std::uint32_t float_zero(const FloatFormat& fmt, bool neg = false);
 std::uint32_t float_inf(const FloatFormat& fmt, bool neg = false);

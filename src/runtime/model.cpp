@@ -41,6 +41,21 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
   // Fails fast on unsupported format/fan-in combinations and provides the
   // units that decode the weight planes below.
   const std::vector<std::unique_ptr<emac::Emac>> units = make_units(net_);
+  // Formats of n <= 8 encode inputs and re-encode at mixed boundaries
+  // through tables that match from_double and num::convert bit for bit.
+  input_table_ = num::shared_encode_table(net_.input_format());
+  boundary_tables_.resize(net_.layers.size());
+  for (std::size_t li = 1; li < net_.layers.size(); ++li) {
+    const num::Format& from = net_.layer_format(li - 1);
+    const num::Format& to = net_.layer_format(li);
+    if (from == to || from.total_bits() > num::EncodeTable::kMaxBits ||
+        to.total_bits() > num::EncodeTable::kMaxBits) {
+      continue;
+    }
+    std::vector<std::uint32_t>& table = boundary_tables_[li];
+    table.resize(std::size_t{1} << from.total_bits());
+    for (std::uint32_t p = 0; p < table.size(); ++p) table[p] = num::convert(p, from, to);
+  }
   if (path_ == ForwardPath::kStep) return;
   // Blocked kernels are all-or-nothing, so forward_tile_into never mixes
   // kernel and step layers. Dispatch (AVX2 vs portable,
@@ -154,8 +169,12 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
   bits.assign(in_dim * tile, 0);
   for (std::size_t s = 0; s < nrows; ++s) {
     const std::span<const double> row = xs.row(row0 + s);
-    for (std::size_t i = 0; i < in_dim; ++i) {
-      bits[i * tile + s] = net_.input_format().from_double(row[i]);
+    if (const num::EncodeTable* table = input_table_.get()) {
+      for (std::size_t i = 0; i < in_dim; ++i) bits[i * tile + s] = table->encode(row[i]);
+    } else {
+      for (std::size_t i = 0; i < in_dim; ++i) {
+        bits[i * tile + s] = net_.input_format().from_double(row[i]);
+      }
     }
   }
   for (std::size_t li = 0; li < net_.layers.size(); ++li) {
@@ -164,10 +183,15 @@ void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
     // Activations produced upstream carry the previous layer's format; at a
     // mixed boundary re-encode them into this layer's.
     if (li > 0 && !(net_.layer_format(li - 1) == fmt)) {
+      const std::vector<std::uint32_t>& table = boundary_tables_[li];
       const num::Format& prev = net_.layer_format(li - 1);
       for (std::size_t i = 0; i < layer.fan_in; ++i) {
-        for (std::size_t s = 0; s < nrows; ++s) {
-          bits[i * tile + s] = num::convert(bits[i * tile + s], prev, fmt);
+        std::uint32_t* lane = bits.data() + i * tile;
+        if (!table.empty()) {
+          const std::size_t mask = table.size() - 1;
+          for (std::size_t s = 0; s < nrows; ++s) lane[s] = table[lane[s] & mask];
+        } else {
+          for (std::size_t s = 0; s < nrows; ++s) lane[s] = num::convert(lane[s], prev, fmt);
         }
       }
     }

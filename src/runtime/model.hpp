@@ -25,6 +25,7 @@
 #include "emac/emac.hpp"
 #include "emac/kernel.hpp"
 #include "nn/quantize.hpp"
+#include "numeric/encode_table.hpp"
 #include "runtime/batch.hpp"
 
 namespace dp::runtime {
@@ -110,6 +111,15 @@ class Model {
   /// dispatch differs) or "none" (the step path).
   const char* kernel_name() const;
 
+  /// The pattern table forward_tile_into re-encodes layer `layer`'s inputs
+  /// with: entry p is num::convert(p, layer_format(layer - 1),
+  /// layer_format(layer)). Empty where the format does not change, and where
+  /// either format is wider than 8 bits (num::convert is then called per
+  /// element).
+  std::span<const std::uint32_t> boundary_table(std::size_t layer) const {
+    return boundary_tables_.at(layer);
+  }
+
   /// Fresh per-thread mutable state for forward_tile_into.
   Scratch make_scratch() const;
 
@@ -126,6 +136,11 @@ class Model {
 
   nn::QuantizedNetwork net_;
   ForwardPath path_;
+  // The input format's shared encode table; nullptr when it is wider than 8
+  // bits (forward_tile_into then calls from_double).
+  std::shared_ptr<const num::EncodeTable> input_table_;
+  // One per layer; see boundary_table().
+  std::vector<std::vector<std::uint32_t>> boundary_tables_;
   // Blocked kernels + packed planes, one per layer; empty on the step path
   // (chosen, forced, or because some layer has no kernel). Immutable after
   // construction and shared read-only by every Scratch on every thread.

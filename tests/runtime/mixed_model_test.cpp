@@ -193,6 +193,46 @@ TEST(MixedModel, AccessorsReportPerLayerFormats) {
   EXPECT_NEAR(model->bits_per_weight(), (30.0 * 8 + 21.0 * 6) / 51.0, 1e-12);
 }
 
+// forward_tile_into re-encodes at a mixed boundary through a 2^n-entry
+// table; it must be num::convert itself on every pattern, NaR and NaN
+// included (a posit NaR becomes the fixed raw_min).
+TEST(MixedModel, BoundaryTablesMatchConvertOnEveryPattern) {
+  const std::vector<num::Format> pool = fuzz_pool();
+  std::size_t checked = 0;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    const FuzzCase fc = make_case(seed, pool);
+    const nn::Mlp net(fc.topology, seed);
+    for (const ForwardPath path : {ForwardPath::kBlocked, ForwardPath::kStep}) {
+      const auto model = Model::create(nn::quantize(net, fc.formats), path);
+      EXPECT_TRUE(model->boundary_table(0).empty());
+      for (std::size_t li = 1; li < fc.formats.size(); ++li) {
+        const num::Format& from = fc.formats[li - 1];
+        const num::Format& to = fc.formats[li];
+        const std::span<const std::uint32_t> table = model->boundary_table(li);
+        if (from == to) {
+          EXPECT_TRUE(table.empty());
+          continue;
+        }
+        ASSERT_EQ(table.size(), std::size_t{1} << from.total_bits()) << describe(fc, "", 1);
+        for (std::uint32_t p = 0; p < table.size(); ++p) {
+          ASSERT_EQ(table[p], num::convert(p, from, to))
+              << from.name() << " -> " << to.name() << " pattern " << p;
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 40u);
+}
+
+TEST(MixedModel, WideBoundaryKeepsPerElementConvert) {
+  const nn::Mlp net({4, 6, 3}, 7);
+  const std::vector<num::Format> fmts{num::Format{num::PositFormat{8, 0}},
+                                      num::Format{num::PositFormat{16, 1}}};
+  const auto model = Model::create(nn::quantize(net, fmts));
+  EXPECT_TRUE(model->boundary_table(1).empty());
+}
+
 TEST(MixedModel, MalformedLayerFormatTablesRejected) {
   const nn::Mlp net({4, 6, 3}, 7);
   const num::Format p8{num::PositFormat{8, 0}};
