@@ -95,7 +95,6 @@ BurstResult run_burst_once(const std::shared_ptr<const runtime::Model>& model,
                            const std::vector<double>& xs) {
   serve::BatcherOptions opts;
   opts.max_batch = max_batch;
-  opts.max_wait = std::chrono::microseconds(200);
   opts.queue_capacity = clients * per_client;  // admission never the bottleneck here
   opts.dispatchers = 1;
   opts.session_threads = session_threads;
@@ -181,7 +180,6 @@ WireResult run_wire(const std::shared_ptr<const runtime::Model>& model, std::siz
                     const std::vector<double>& xs) {
   serve::ServerOptions opts;
   opts.batcher.max_batch = 16;
-  opts.batcher.max_wait = std::chrono::microseconds(100);
   serve::Server server(model, opts);
   serve::Client client = server.connect();
 

@@ -1,12 +1,14 @@
 // End-to-end tour of the dp::serve stack (mirrored step by step in
 // docs/serving.md): train + quantize a model, stand up an in-process Server,
 // talk to it over the framed wire protocol from two clients — blocking round
-// trips, pipelined out-of-order receives, a deadline flush, backpressure —
-// and read the stats. Exits 0 only if every served prediction is
+// trips, pipelined out-of-order receives, a lone request, backpressure — and
+// read the stats. Exits 0 only if every served prediction is
 // bit-identical to a direct runtime::Session call.
 
 #include <chrono>
 #include <cstdio>
+#include <future>
+#include <latch>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -16,7 +18,6 @@
 
 int main() {
   using namespace dp;
-  using namespace std::chrono_literals;
 
   std::printf("== dp::serve demo ==\n\n");
 
@@ -29,17 +30,15 @@ int main() {
               model->format().name().c_str(), model->input_dim(),
               model->macs_per_inference());
 
-  // 2. A Server owns one DynamicBatcher: requests from every connection
-  //    coalesce into contiguous micro-batches, flushed on max_batch rows or
-  //    when the oldest request has waited max_wait, whichever first.
+  // 2. A Server owns one DynamicBatcher. It is work-conserving: an idle
+  //    dispatcher serves whatever is pending at once, and requests that
+  //    arrive from any connection while it is busy coalesce into one
+  //    contiguous micro-batch of up to max_batch rows.
   serve::ServerOptions opts;
   opts.batcher.max_batch = 16;
-  opts.batcher.max_wait = 500us;
   opts.batcher.session_threads = 2;
   serve::Server server(model, opts);
-  std::printf("[2] server up: max_batch=%zu, max_wait=%lldus, queue_capacity=%zu\n",
-              opts.batcher.max_batch,
-              static_cast<long long>(opts.batcher.max_wait.count()),
+  std::printf("[2] server up: max_batch=%zu, queue_capacity=%zu\n", opts.batcher.max_batch,
               opts.batcher.queue_capacity);
 
   // 3. Blocking round trips from client A. The wire carries the sample as
@@ -75,13 +74,12 @@ int main() {
   std::printf("[4] client B: 8 pipelined requests, received in reverse, all identical: %s\n",
               all_identical ? "yes" : "NO <-- BUG");
 
-  // 5. A lone request never waits past max_wait: the deadline flush serves
-  //    it as a micro-batch of one.
+  // 5. A lone request never waits for company: the idle dispatcher serves
+  //    it at once as a micro-batch of one.
   const auto t0 = std::chrono::steady_clock::now();
   (void)a.predict(task.split.test.x[0]);
   const std::chrono::duration<double, std::micro> lone = std::chrono::steady_clock::now() - t0;
-  std::printf("[5] lone request round trip: %.0f us (deadline flush at %lld us)\n",
-              lone.count(), static_cast<long long>(opts.batcher.max_wait.count()));
+  std::printf("[5] lone request round trip: %.0f us\n", lone.count());
 
   const serve::ServerStats stats = server.stats();
   std::printf("[6] stats: %llu requests in %llu batches (mean occupancy %.2f), "
@@ -92,12 +90,22 @@ int main() {
               stats.batcher.wait_p99_us);
 
   // 7. Backpressure: a server sized for 2 pending rows rejects the overflow
-  //    at admission with kQueueFull instead of queueing without bound.
+  //    at admission with kQueueFull instead of queueing without bound. To
+  //    fill its queue on purpose, first occupy its only dispatcher with a
+  //    request submitted through the registry whose completion callback
+  //    waits on a gate (callbacks run on the dispatcher thread).
+  std::latch gate(1);
+  std::promise<void> holding;
   serve::ServerOptions tiny;
   tiny.batcher.max_batch = 64;
-  tiny.batcher.max_wait = 10s;  // park everything; only admission reacts
   tiny.batcher.queue_capacity = 2;
   serve::Server small(model, tiny);
+  small.registry().acquire("")->lane(0).submit(
+      task.split.test.x[0], [&](serve::Status, std::span<const std::uint32_t>) {
+        holding.set_value();
+        gate.wait();
+      });
+  holding.get_future().wait();
   serve::Client c = small.connect();
   std::vector<std::uint64_t> flood;
   for (std::size_t i = 0; i < 6; ++i) flood.push_back(c.send(task.split.test.x[i]));
@@ -105,10 +113,11 @@ int main() {
   for (std::size_t i = 2; i < flood.size(); ++i) {
     if (c.receive(flood[i]).status == serve::Status::kQueueFull) ++rejected;
   }
-  small.stop();  // drains the two accepted requests before closing
+  gate.count_down();  // free the dispatcher: the two accepted requests are served
+  small.stop();
   const bool drained = c.receive(flood[0]).ok() && c.receive(flood[1]).ok();
   std::printf("[7] backpressure: 6 sent into capacity 2 -> %zu rejected with queue-full, "
-              "accepted drained on stop: %s\n",
+              "accepted served: %s\n",
               rejected, drained ? "yes" : "NO <-- BUG");
 
   return all_identical && rejected == 4 && drained ? 0 : 1;

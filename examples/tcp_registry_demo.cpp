@@ -7,7 +7,6 @@
 // Exits 0 only if every served prediction is bit-identical to a direct
 // runtime::Session call on the matching model.
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <span>
@@ -21,7 +20,6 @@
 
 int main() {
   using namespace dp;
-  using namespace std::chrono_literals;
 
   std::printf("== dp::serve TCP multi-model registry demo ==\n\n");
 
@@ -43,7 +41,6 @@ int main() {
   serve::ModelRegistry registry;
   serve::BatcherOptions bopts;
   bopts.max_batch = 16;
-  bopts.max_wait = 200us;
   registry.load("iris-posit8", posit_model, bopts);
   registry.load("iris-fixed8", fixed_model, bopts);
   std::printf("[2] registry: %zu entries, default '%s'\n", registry.names().size(),

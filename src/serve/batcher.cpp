@@ -28,9 +28,6 @@ BatcherOptions validate(BatcherOptions opts) {
   if (opts.dispatchers == 0) {
     throw std::invalid_argument("serve::DynamicBatcher: dispatchers must be >= 1");
   }
-  if (opts.max_wait.count() < 0) {
-    throw std::invalid_argument("serve::DynamicBatcher: max_wait must be >= 0");
-  }
   return opts;
 }
 
@@ -155,41 +152,21 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
   std::unique_lock<std::mutex> lk(m_);
   for (;;) {
     cv_.wait(lk, [&] { return stop_ || depth_locked() > 0; });
-    if (depth_locked() == 0) {
-      if (stop_) return;  // drained: every accepted request was flushed
-      continue;
-    }
-    // Flush decision: size trigger, deadline trigger, shutdown drain — or
-    // the front request's shed deadline, so an expired request is answered
-    // kDeadlineExceeded promptly instead of parking until max_wait.
-    bool deadline_due = stop_;
-    if (depth_locked() < opts_.max_batch && !stop_) {
-      const auto flush_at = std::min(pending_[head_].enqueued + opts_.max_wait,
-                                     pending_[head_].deadline);
-      if (Clock::now() < flush_at) {
-        // Sleep until the oldest request's deadline; a submit that reaches
-        // the size trigger (or shutdown) notifies and re-evaluates sooner.
-        cv_.wait_until(lk, flush_at);
-        continue;
-      }
-      deadline_due = true;
-    }
-
-    // Carve up to max_batch rows off the queue front while holding the lock
-    // (memcpy of doubles + callback moves; the inference runs unlocked).
-    // Rows whose shed deadline has passed are split off here — they never
-    // reach the Session — and the carve only advances head_; compaction
-    // below is amortized O(1)/row.
+    if (depth_locked() == 0) return;  // stopped and drained: every accepted row was flushed
+    // Work-conserving carve: an idle dispatcher takes whatever is pending,
+    // up to max_batch, at once — it never lingers for company. Batches form
+    // only while every dispatcher is busy, which is when they pay. The carve
+    // holds the lock (memcpy of doubles + callback moves; the inference runs
+    // unlocked). Rows whose shed deadline has passed are split off here —
+    // they never reach the Session — and the carve only advances head_;
+    // compaction below is amortized O(1)/row.
     std::size_t take = std::min(depth_locked(), opts_.max_batch);
-    if (!deadline_due && tile_ > 1 && take > tile_) {
-      // Size-triggered burst carve: trim to whole kernel tiles so the
-      // blocked matmul never sees a ragged tail mid-burst. The carve always
-      // starts at the queue front, so trimming only defers TAIL rows — the
-      // oldest request still leaves now, and a deadline/shutdown flush (the
-      // deadline_due path) is never trimmed, preserving max_wait even when
-      // fewer than tile_ rows are pending.
-      const std::size_t aligned = take - take % tile_;
-      if (aligned != 0) take = aligned;
+    if (take > tile_ && take < depth_locked()) {
+      // Rows stay queued behind this carve (a backlog past max_batch): trim
+      // to whole kernel tiles so the blocked matmul never sees a ragged tail
+      // mid-burst. Trimming only defers TAIL rows to the next carve, and a
+      // carve that empties the queue is never trimmed.
+      take -= take % tile_;
     }
     const auto now = Clock::now();
     batch_x.clear();

@@ -6,17 +6,17 @@
 // coalescing is the append: a flush is a BatchView pointed straight at the
 // carved rows, no per-row gather). Dispatcher threads — each owning a
 // private runtime::Session over the shared Model — carve micro-batches off
-// the queue front and flush when EITHER
-//
-//   * size:     max_batch rows are pending, or
-//   * deadline: the oldest pending request has waited max_wait
-//
-// whichever comes first, so a lone request is never parked longer than
-// max_wait and a burst fills whole batches. Admission applies backpressure:
+// the queue front. The batcher is WORK-CONSERVING (Clipper's adaptive
+// batching, Crankshaw et al., NSDI 2017): a dispatcher that wakes with rows
+// pending carves min(pending, max_batch) of them at once and never waits for
+// company. Micro-batches form only while every dispatcher is busy — rows
+// arriving during an inference queue up and leave together on the next
+// carve — so batching costs an idle server no latency and amortizes
+// dispatch exactly when load makes it pay. Admission applies backpressure:
 // when queue_capacity rows are already pending, submit completes
 // immediately with Status::kQueueFull instead of growing the queue without
-// bound (reject-at-admission keeps the tail latency of *accepted* requests
-// bounded by max_wait + one batch's service time).
+// bound (reject-at-admission keeps the queue wait of *accepted* requests
+// bounded by the service time of the batches ahead of them).
 //
 // Requests may carry a DEADLINE (the protocol-v4 budget, converted to a
 // steady-clock instant at decode): a request whose deadline passes while it
@@ -59,12 +59,12 @@
 namespace dp::serve {
 
 struct BatcherOptions {
-  /// Rows per micro-batch flush; a size-triggered flush fires as soon as
-  /// this many are pending.
+  /// Most rows one carve takes off the queue front.
   std::size_t max_batch = 32;
-  /// Deadline flush: the oldest pending request never waits longer than
-  /// this before its micro-batch is dispatched (even a batch of one).
-  std::chrono::microseconds max_wait{1000};
+  /// Ignored: the batcher is work-conserving and never waits for company.
+  /// Kept only because perfbench/serve.cpp still assigns it; the field goes
+  /// when that line does.
+  std::chrono::microseconds max_wait{0};
   /// Admission bound on pending (not yet carved) rows; beyond it, submit
   /// rejects with Status::kQueueFull.
   std::size_t queue_capacity = 1024;
@@ -119,12 +119,12 @@ class DynamicBatcher {
   const runtime::Model& model() const { return *model_; }
   const BatcherOptions& options() const { return opts_; }
 
-  /// Flush alignment: the model's preferred kernel tile. SIZE-TRIGGERED
-  /// carves are trimmed to a multiple of this, so burst carves hand the
-  /// register-blocked kernels whole sample tiles (a ragged tail re-reads
-  /// every weight plane for a fraction of a tile). Deadline and shutdown
-  /// flushes are never trimmed — a lone request still leaves after max_wait
-  /// regardless of alignment (tests/runtime/blocked_session_test.cpp).
+  /// Flush alignment: the model's preferred kernel tile. A carve that
+  /// leaves rows queued behind it is trimmed to a multiple of this, so
+  /// backlog carves hand the register-blocked kernels whole sample tiles (a
+  /// ragged tail re-reads every weight plane for a fraction of a tile). A
+  /// carve that empties the queue is never trimmed, so a lone request leaves
+  /// at once regardless of alignment (tests/runtime/blocked_session_test.cpp).
   std::size_t tile() const { return tile_; }
 
   /// A request's absolute shed deadline (steady clock); nullopt = none.

@@ -1,7 +1,10 @@
-// DynamicBatcher contract tests: the flush triggers (size, deadline,
-// shutdown drain), admission backpressure, per-request completion under
-// overlapping out-of-order micro-batches, and bit-identity of everything it
-// serves against a direct runtime::Session on the same rows.
+// DynamicBatcher contract tests: the work-conserving carve (a lone row
+// leaves at once, a backlog leaves in max_batch carves trimmed to whole
+// tiles), the shutdown drain, deadline shedding, admission backpressure,
+// per-request completion under overlapping out-of-order micro-batches, and
+// bit-identity of everything it serves against a direct runtime::Session on
+// the same rows. Rows are parked behind a held dispatcher
+// (serve/dispatcher_hold.hpp), never behind a timer.
 
 #include "serve/batcher.hpp"
 
@@ -11,11 +14,13 @@
 #include <chrono>
 #include <future>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
+#include "serve/dispatcher_hold.hpp"
 
 namespace dp::serve {
 namespace {
@@ -55,44 +60,45 @@ std::vector<std::uint32_t> direct_bits(const std::shared_ptr<const runtime::Mode
 }
 
 TEST(ServeBatcher, LoneRequestFlushesOnDeadline) {
+  // Work-conserving: an idle dispatcher serves a row with no company at
+  // once, as a batch of one, however far it is from max_batch.
   const auto model = small_model();
   BatcherOptions opts;
-  opts.max_batch = 64;  // never reached: the deadline must fire
-  opts.max_wait = 20ms;
+  opts.max_batch = 64;
   DynamicBatcher batcher(model, opts);
 
   const std::vector<double> x = random_rows(1, model->input_dim(), 1);
-  const auto t0 = std::chrono::steady_clock::now();
   std::future<Reply> fut = batcher.submit(x);
-  ASSERT_EQ(fut.wait_for(5s), std::future_status::ready) << "deadline flush never fired";
-  const auto waited = std::chrono::steady_clock::now() - t0;
-
+  ASSERT_EQ(fut.wait_for(5s), std::future_status::ready) << "the lone row was never carved";
   const Reply reply = fut.get();
   EXPECT_EQ(reply.status, Status::kOk);
   EXPECT_EQ(reply.bits, direct_bits(model, x));
-  EXPECT_GE(waited, 15ms) << "flushed before the deadline with no size trigger";
 
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.accepted, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.mean_occupancy, 1.0);
-  EXPECT_GT(stats.wait_p50_us, 0.0);
 }
 
 TEST(ServeBatcher, ExactCapacityBurstCoalescesIntoOneFullBatch) {
+  // Batches form while the dispatcher is busy: a burst of exactly max_batch
+  // rows queued behind a held dispatcher leaves as ONE batch when it frees.
   const auto model = small_model();
   BatcherOptions opts;
   opts.max_batch = 8;
-  opts.max_wait = 10s;  // only the size trigger can fire inside the test
   DynamicBatcher batcher(model, opts);
 
   const std::size_t dim = model->input_dim();
-  const std::vector<double> xs = random_rows(opts.max_batch, dim, 2);
+  const std::vector<double> xs = random_rows(opts.max_batch + 1, dim, 2);
+  DispatcherHold hold(batcher, std::span(xs).subspan(opts.max_batch * dim, dim));
+  ASSERT_TRUE(hold.held());
   std::vector<std::future<Reply>> futures;
   for (std::size_t i = 0; i < opts.max_batch; ++i) {
     futures.push_back(batcher.submit(std::span(xs).subspan(i * dim, dim)));
   }
+  EXPECT_EQ(batcher.stats().queue_depth, opts.max_batch);
+  hold.release();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     ASSERT_EQ(futures[i].wait_for(5s), std::future_status::ready) << "row " << i;
     const Reply reply = futures[i].get();
@@ -100,24 +106,66 @@ TEST(ServeBatcher, ExactCapacityBurstCoalescesIntoOneFullBatch) {
     EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
   }
 
-  // With the deadline out of reach, the only possible flush is one batch of
-  // exactly max_batch rows — occupancy must be perfect.
+  // The held row's batch of one, then the whole burst in one carve.
   const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.completed, opts.max_batch);
-  EXPECT_EQ(stats.mean_occupancy, static_cast<double>(opts.max_batch));
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.completed, opts.max_batch + 1);
+}
+
+TEST(ServeBatcher, BacklogCarvesTrimToWholeTilesAndTheLastCarveDoesNot) {
+  // A carve that leaves rows queued is trimmed to whole kernel tiles; the
+  // carve that empties the queue takes the ragged rest untrimmed, even when
+  // that rest is longer than a tile.
+  const auto model = small_model();
+  const std::size_t tile = model->preferred_tile();
+  ASSERT_GE(tile, 2u);
+  BatcherOptions opts;
+  opts.max_batch = 2 * tile + 1;  // one row past two tiles: trimmed to 2 * tile
+  DynamicBatcher batcher(model, opts);
+  ASSERT_EQ(batcher.tile(), tile);
+
+  const std::size_t dim = model->input_dim();
+  const std::size_t backlog = 3 * tile + 3;
+  const std::vector<double> xs = random_rows(backlog + 1, dim, 7);
+  DispatcherHold hold(batcher, std::span(xs).subspan(backlog * dim, dim));
+  ASSERT_TRUE(hold.held());
+  // completed is bumped before a batch's callbacks fire, so each row sees
+  // the running total up to and including its own batch.
+  std::vector<std::uint64_t> completed_seen(backlog, 0);
+  std::vector<std::future<Reply>> futures;
+  for (std::size_t i = 0; i < backlog; ++i) {
+    auto promise = std::make_shared<std::promise<Reply>>();
+    futures.push_back(promise->get_future());
+    batcher.submit(std::span(xs).subspan(i * dim, dim),
+                   [&, i, promise](Status s, std::span<const std::uint32_t> bits) {
+                     completed_seen[i] = batcher.stats().completed;
+                     promise->set_value(Reply{s, {bits.begin(), bits.end()}});
+                   });
+  }
+  hold.release();
+  for (std::size_t i = 0; i < backlog; ++i) {
+    ASSERT_EQ(futures[i].wait_for(5s), std::future_status::ready) << "row " << i;
+    const Reply reply = futures[i].get();
+    EXPECT_EQ(reply.status, Status::kOk);
+    EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
+    // 1 held row, then 2 * tile rows, then the last tile + 3 in one carve.
+    EXPECT_EQ(completed_seen[i], i < 2 * tile ? 1 + 2 * tile : 1 + backlog) << "row " << i;
+  }
+  EXPECT_EQ(batcher.stats().batches, 3u);
 }
 
 TEST(ServeBatcher, AdmissionRejectsWithQueueFullAndDrainServesTheAccepted) {
   const auto model = small_model();
   BatcherOptions opts;
   opts.max_batch = 64;
-  opts.max_wait = 10s;  // park the accepted rows; only shutdown will flush
   opts.queue_capacity = 4;
   DynamicBatcher batcher(model, opts);
 
   const std::size_t dim = model->input_dim();
-  const std::vector<double> xs = random_rows(6, dim, 3);
+  const std::vector<double> xs = random_rows(7, dim, 3);
+  std::future<void> stopped;  // declared before the hold: joined after it opens
+  DispatcherHold hold(batcher, std::span(xs).subspan(6 * dim, dim));
+  ASSERT_TRUE(hold.held());
   std::vector<std::future<Reply>> accepted;
   for (std::size_t i = 0; i < 4; ++i) {
     accepted.push_back(batcher.submit(std::span(xs).subspan(i * dim, dim)));
@@ -131,20 +179,23 @@ TEST(ServeBatcher, AdmissionRejectsWithQueueFullAndDrainServesTheAccepted) {
   }
   {
     const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.accepted, 4u);
+    EXPECT_EQ(stats.accepted, 5u);  // the held row + 4 queued
     EXPECT_EQ(stats.rejected, 2u);
     EXPECT_EQ(stats.queue_depth, 4u);
   }
 
-  // Shutdown drains: every accepted request is served, never dropped.
-  batcher.shutdown();
+  // Shutdown drains: every accepted request is served, never dropped. The
+  // hold opens only once shutdown has begun, so the drain is what carves.
+  stopped = std::async(std::launch::async, [&] { batcher.shutdown(); });
+  EXPECT_TRUE(release_into_drain(hold, batcher, std::span(xs).first(dim)));
+  stopped.get();
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     ASSERT_EQ(accepted[i].wait_for(5s), std::future_status::ready) << i;
     const Reply reply = accepted[i].get();
     EXPECT_EQ(reply.status, Status::kOk);
     EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
   }
-  EXPECT_EQ(batcher.stats().completed, 4u);
+  EXPECT_EQ(batcher.stats().completed, 5u);
 }
 
 TEST(ServeBatcher, SubmitAfterShutdownCompletesWithShutdownStatus) {
@@ -170,7 +221,7 @@ TEST(ServeBatcher, ValidatesSampleDimensionAndOptions) {
 }
 
 // Two dispatchers, a full heavy micro-batch in flight, then a lone request:
-// the lone request's deadline flush must be dispatched by the idle sibling
+// the lone request must be carved at once by the idle sibling
 // and (almost always) complete while the big batch is still running —
 // overlapping micro-batches finishing out of submission order. Per-request
 // completion means this must never mix up results, which is asserted on
@@ -188,7 +239,6 @@ TEST(ServeBatcher, OverlappingMicroBatchesCompleteOutOfOrderPerRequest) {
   for (int attempt = 0; attempt < 30 && !observed_out_of_order; ++attempt) {
     BatcherOptions opts;
     opts.max_batch = big;
-    opts.max_wait = 500us;  // the lone request flushes almost immediately
     opts.dispatchers = 2;
     DynamicBatcher batcher(model, opts);
 
@@ -235,8 +285,8 @@ TEST(ServeBatcher, OverlappingMicroBatchesCompleteOutOfOrderPerRequest) {
       EXPECT_EQ(reply.bits, direct_bits(model, std::span(xs).subspan(i * dim, dim))) << i;
     }
     if (lone_overtook.load()) observed_out_of_order = true;
-    // Normally exactly 2 (the full batch + the lone deadline flush); a
-    // heavily loaded host may split the first burst across more.
+    // Normally exactly 2 (the full batch + the lone row); the first burst
+    // splits across more whenever a dispatcher wakes mid-burst.
     EXPECT_GE(batcher.stats().batches, 2u);
   }
   EXPECT_TRUE(observed_out_of_order)
@@ -271,38 +321,40 @@ TEST(ServeBatcher, ExpiredDeadlineIsShedInlineWithoutQueueing) {
 
 TEST(ServeBatcher, DeadlineExpiringWhileQueuedIsShedBeforeTheSession) {
   const auto model = small_model();
-  BatcherOptions opts;
-  opts.max_batch = 64;   // size trigger never fires
-  opts.max_wait = 50ms;  // ...and the wait flush comes after the deadline
-  DynamicBatcher batcher(model, opts);
+  DynamicBatcher batcher(model, {});
   const std::vector<double> x = random_rows(1, model->input_dim(), 6);
 
-  // A deadline shorter than max_wait: the dispatcher must wake at the
-  // DEADLINE (not park until max_wait) and shed without running inference.
-  const auto t0 = std::chrono::steady_clock::now();
+  // The row queues behind a held dispatcher and stays there past its
+  // deadline; when the dispatcher frees, the carve must shed it without
+  // running inference.
+  DispatcherHold hold(batcher, x);
+  ASSERT_TRUE(hold.held());
+  const auto deadline = std::chrono::steady_clock::now() + 1ms;
   std::future<Reply> doomed;
   {
-    std::promise<Reply> promise;
-    doomed = promise.get_future();
-    auto shared = std::make_shared<std::promise<Reply>>(std::move(promise));
+    auto promise = std::make_shared<std::promise<Reply>>();
+    doomed = promise->get_future();
     batcher.submit(
         x,
-        [shared](Status s, std::span<const std::uint32_t> bits) {
-          shared->set_value(Reply{s, {bits.begin(), bits.end()}});
+        [promise](Status s, std::span<const std::uint32_t> bits) {
+          promise->set_value(Reply{s, {bits.begin(), bits.end()}});
         },
-        t0 + 10ms);
+        deadline);
   }
+  EXPECT_EQ(batcher.stats().queue_depth, 1u);
+  std::this_thread::sleep_until(deadline);  // same clock: the deadline has now passed
+  hold.release();
+
   ASSERT_EQ(doomed.wait_for(5s), std::future_status::ready);
   const Reply reply = doomed.get();
   EXPECT_EQ(reply.status, Status::kDeadlineExceeded);
   EXPECT_TRUE(reply.bits.empty());
-  // Shed promptly at the deadline, well before the 50ms wait flush.
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, 45ms);
 
   const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.deadline_exceeded, 1u);
-  EXPECT_EQ(stats.completed, 0u) << "a shed request must never reach a Session";
+  EXPECT_EQ(stats.completed, 1u) << "only the held row may reach a Session";
+  EXPECT_EQ(stats.batches, 1u);
 
   // The batcher still serves in-budget requests afterwards.
   std::future<Reply> ok = batcher.submit(x);

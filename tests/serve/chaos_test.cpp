@@ -27,7 +27,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <latch>
 #include <map>
 #include <memory>
 #include <random>
@@ -40,6 +39,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/dispatcher_hold.hpp"
 #include "serve/server.hpp"
 #include "serve/wait.hpp"
 
@@ -77,7 +77,6 @@ std::vector<std::uint32_t> direct_bits(const std::shared_ptr<const runtime::Mode
 ServerOptions chaos_server_options() {
   ServerOptions opts;
   opts.batcher.max_batch = 4;
-  opts.batcher.max_wait = 200us;
   opts.batcher.dispatchers = 2;
   opts.tcp_port = 0;
   opts.shards = 2;
@@ -225,7 +224,6 @@ TEST(Chaos, HotSwapUnderActiveFaultInjection) {
     ModelRegistry registry(/*lanes=*/2);
     BatcherOptions fast;
     fast.max_batch = 4;
-    fast.max_wait = 200us;
     registry.load("m", model_a, fast);
     Server server(registry, chaos_server_options());
 
@@ -348,11 +346,11 @@ TEST(Resilience, ReceiveTimeoutReturnsInsteadOfHanging) {
 }
 
 TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
-  // One shard, one dispatcher, batches of one. Batcher callbacks run on the
-  // dispatcher thread, so a first row whose callback blocks on a gate holds
-  // the only dispatcher: the burst queues behind it, every budget runs out
-  // on the steady clock, and only then is the gate opened. Every queued
-  // request must then be shed — an exact count, not a timing race.
+  // One shard, one dispatcher, batches of one. A first row whose callback
+  // blocks on a gate holds the only dispatcher (serve/dispatcher_hold.hpp):
+  // the burst queues behind it, every budget runs out on the steady clock,
+  // and only then is the gate opened. Every queued request must then be
+  // shed — an exact count, not a timing race.
   const auto model = small_model();
   const std::size_t dim = model->input_dim();
   const std::vector<double> xs = random_rows(1, dim, 61);
@@ -361,32 +359,9 @@ TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
   opts.batcher.dispatchers = 1;
   opts.shards = 1;
 
-  std::latch gate(1);
   Server server(model, opts);
-  struct GateGuard {
-    std::latch& gate;
-    bool open = false;
-    void release() {
-      if (!open) gate.count_down();
-      open = true;
-    }
-    ~GateGuard() { release(); }  // never leave the dispatcher parked
-  } guard{gate};
-
-  std::atomic<bool> held{false};
-  Status held_status = Status::kShutdown;
-  std::vector<std::uint32_t> held_bits;
-  {
-    ModelRegistry::Lease lease = server.registry().acquire("");
-    ASSERT_TRUE(lease);
-    lease->lane(0).submit(row(xs, dim, 0), [&](Status status, std::span<const std::uint32_t> bits) {
-      held_status = status;
-      held_bits.assign(bits.begin(), bits.end());
-      held.store(true);
-      gate.wait();
-    });
-  }
-  ASSERT_TRUE(wait_until([&] { return held.load(); })) << "the held row never reached a dispatcher";
+  DispatcherHold hold(server.registry().acquire("")->lane(0), row(xs, dim, 0));
+  ASSERT_TRUE(hold.held()) << "the held row never reached a dispatcher";
 
   Client client = server.connect();
   constexpr std::size_t kBurst = 32;
@@ -405,15 +380,14 @@ TEST(Resilience, DeadlineBudgetShedsQueuedRequestsEndToEnd) {
   // reached kBurst; once kBudget more has passed on the same clock, every
   // queued deadline has expired.
   std::this_thread::sleep_until(std::chrono::steady_clock::now() + kBudget);
-  guard.release();
+  hold.release();
 
   for (const std::uint64_t id : ids) {
     const Reply reply = client.receive(id);
     EXPECT_EQ(reply.status, Status::kDeadlineExceeded) << "id " << id;
     EXPECT_TRUE(reply.bits.empty());
   }
-  EXPECT_EQ(held_status, Status::kOk);
-  EXPECT_EQ(held_bits, direct_bits(model, row(xs, dim, 0)));
+  EXPECT_EQ(hold.reply().bits, direct_bits(model, row(xs, dim, 0)));
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.batcher.deadline_exceeded, kBurst);
   EXPECT_EQ(stats.batcher.accepted, stats.batcher.completed + stats.batcher.deadline_exceeded);

@@ -37,7 +37,6 @@ std::vector<double> random_rows(std::size_t rows, std::size_t dim, std::uint32_t
 ServerOptions tcp_options() {
   ServerOptions opts;
   opts.batcher.max_batch = 4;
-  opts.batcher.max_wait = 200us;
   opts.tcp_port = 0;
   return opts;
 }

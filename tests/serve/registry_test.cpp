@@ -19,6 +19,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/dispatcher_hold.hpp"
 #include "serve/protocol.hpp"
 #include "serve/wait.hpp"
 
@@ -113,20 +114,27 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   ModelRegistry registry;
   const auto old_model = posit_model(42);
   const auto new_model = posit_model(43);  // same format, new weights: different bits
-  BatcherOptions parked;
-  parked.max_batch = 64;
-  parked.max_wait = 10s;  // only shutdown (the swap's drain) can flush it
-  registry.load("m", old_model, parked);
+  registry.load("m", old_model);
   const std::vector<double> x = random_row(old_model->input_dim(), 2);
 
+  // Park a request in the old entry behind its held dispatcher: only the
+  // swap's drain may carve it.
+  DynamicBatcher& old_batcher = registry.acquire("m")->batcher;
+  std::future<void> swapped;  // declared before the hold: joined after it opens
+  DispatcherHold hold(old_batcher, x);
+  ASSERT_TRUE(hold.held());
   std::future<Reply> fut;
   {
     ModelRegistry::Lease lease = registry.acquire("m");
     fut = lease->batcher.submit(x);
   }
   // Swap. load() must first wait out leases, then drain the old batcher —
-  // the parked request is flushed through the OLD model's Session.
-  registry.load("m", new_model);
+  // the parked request is flushed through the OLD model's Session, and the
+  // swap cannot return before it is answered.
+  swapped = std::async(std::launch::async, [&] { registry.load("m", new_model); });
+  EXPECT_TRUE(release_into_drain(hold, old_batcher, x));
+  swapped.get();
+  ASSERT_EQ(fut.wait_for(0s), std::future_status::ready) << "load() returned before the drain";
   const Reply reply = fut.get();
   ASSERT_EQ(reply.status, Status::kOk);
   runtime::Session old_direct(old_model);
@@ -179,15 +187,19 @@ TEST(ServeRegistry, HotSwapRejectsFormatOrShapeChanges) {
 TEST(ServeRegistry, UnloadDrainsRemovesAndClearsTheDefault) {
   ModelRegistry registry;
   const auto model = posit_model();
-  BatcherOptions parked;
-  parked.max_batch = 64;
-  parked.max_wait = 10s;
-  registry.load("m", model, parked);
+  registry.load("m", model);
   const std::vector<double> x = random_row(model->input_dim(), 3);
+  DynamicBatcher& batcher = registry.acquire("m")->batcher;
+  std::future<bool> unloaded;  // declared before the hold: joined after it opens
+  DispatcherHold hold(batcher, x);
+  ASSERT_TRUE(hold.held());
   std::future<Reply> fut = registry.acquire("m")->batcher.submit(x);
 
   EXPECT_FALSE(registry.unload("nope"));
-  EXPECT_TRUE(registry.unload("m"));
+  unloaded = std::async(std::launch::async, [&] { return registry.unload("m"); });
+  EXPECT_TRUE(release_into_drain(hold, batcher, x));
+  EXPECT_TRUE(unloaded.get());
+  ASSERT_EQ(fut.wait_for(0s), std::future_status::ready) << "unload() returned before the drain";
   EXPECT_EQ(fut.get().status, Status::kOk);  // drained, not dropped
   EXPECT_FALSE(registry.has("m"));
   EXPECT_EQ(registry.default_name(), "");
@@ -202,16 +214,25 @@ TEST(ServeRegistry, UnloadDrainsRemovesAndClearsTheDefault) {
 TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   ModelRegistry registry;
   const auto model = posit_model();
-  BatcherOptions parked;
-  parked.max_batch = 64;
-  parked.max_wait = 10s;
-  registry.load("a", model, parked);
-  registry.load("b", model, parked);
+  registry.load("a", model);
+  registry.load("b", model);
   const std::vector<double> x = random_row(model->input_dim(), 4);
+  DynamicBatcher& a = registry.acquire("a")->batcher;
+  DynamicBatcher& b = registry.acquire("b")->batcher;
+  std::future<void> stopped;  // declared before the holds: joined after they open
+  DispatcherHold hold_a(a, x);
+  DispatcherHold hold_b(b, x);
+  ASSERT_TRUE(hold_a.held());
+  ASSERT_TRUE(hold_b.held());
   std::future<Reply> fa = registry.acquire("a")->batcher.submit(x);
   std::future<Reply> fb = registry.acquire("b")->batcher.submit(x);
 
-  registry.shutdown_all();
+  // shutdown_all() drains the entries one after another (in name order), so
+  // each hold opens once its own entry's drain has begun.
+  stopped = std::async(std::launch::async, [&] { registry.shutdown_all(); });
+  EXPECT_TRUE(release_into_drain(hold_a, a, x));
+  EXPECT_TRUE(release_into_drain(hold_b, b, x));
+  stopped.get();
   EXPECT_EQ(fa.get().status, Status::kOk);
   EXPECT_EQ(fb.get().status, Status::kOk);
   EXPECT_FALSE(registry.acquire(""));
@@ -223,8 +244,8 @@ TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   // symmetrically so nothing can erase that final state.
   EXPECT_NE(registry.model(""), nullptr);
   ASSERT_TRUE(registry.stats("a").has_value());
-  EXPECT_EQ(registry.stats("a")->completed, 1u);
-  EXPECT_EQ(registry.stats("b")->completed, 1u);
+  EXPECT_EQ(registry.stats("a")->completed, 2u);  // the held row + the drained one
+  EXPECT_EQ(registry.stats("b")->completed, 2u);
   EXPECT_FALSE(registry.unload("a"));
   EXPECT_THROW(registry.set_default("b"), std::runtime_error);
   EXPECT_TRUE(registry.stats("a").has_value());
@@ -242,7 +263,6 @@ TEST(ServeRegistry, RepeatedHotSwapUnderConcurrentSubmittersDropsNothing) {
   ModelRegistry registry;
   BatcherOptions opts;
   opts.max_batch = 8;
-  opts.max_wait = 50us;
   opts.queue_capacity = 1u << 16;  // admission never the limiting factor here
   registry.load("m", model_a, opts);
 

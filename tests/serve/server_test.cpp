@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <random>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/dispatcher_hold.hpp"
 #include "serve/wait.hpp"
 
 namespace dp::serve {
@@ -54,7 +56,6 @@ TEST(ServeServer, ServedBitsIdenticalToDirectSessionAcrossPaperGrid) {
 
       ServerOptions opts;
       opts.batcher.max_batch = 4;
-      opts.batcher.max_wait = 200us;
       Server server(model, opts);
       Client client = server.connect();
 
@@ -86,7 +87,6 @@ TEST(ServeServer, RequestsFromTwoClientsCoalesceIntoOneMicroBatch) {
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts;
   opts.batcher.max_batch = 2;
-  opts.batcher.max_wait = 10s;  // only the size trigger can flush
   Server server(model, opts);
   Client a = server.connect();
   Client b = server.connect();
@@ -94,8 +94,17 @@ TEST(ServeServer, RequestsFromTwoClientsCoalesceIntoOneMicroBatch) {
   const std::vector<double> xs = random_rows(2, model->input_dim(), 9);
   const std::span<const double> xa(xs.data(), model->input_dim());
   const std::span<const double> xb(xs.data() + model->input_dim(), model->input_dim());
+  // Hold the only dispatcher so both requests queue; when it frees, one
+  // carve takes them together.
+  DispatcherHold hold(server.registry().acquire("")->lane(0), xa);
+  ASSERT_TRUE(hold.held());
   const std::uint64_t ida = a.send(xa);
-  const std::uint64_t idb = b.send(xb);  // completes the batch; both flush
+  const std::uint64_t idb = b.send(xb);
+  ASSERT_EQ(wait_for_stats(server, [](const ServerStats& s) {
+              return s.batcher.queue_depth == 2;
+            }).batcher.queue_depth,
+            2u);
+  hold.release();
 
   runtime::Session direct(model);
   const auto wa = direct.forward_bits(xa);
@@ -108,8 +117,8 @@ TEST(ServeServer, RequestsFromTwoClientsCoalesceIntoOneMicroBatch) {
   const ServerStats stats =
       wait_for_stats(server, [](const ServerStats& s) { return s.frames_out >= 2; });
   EXPECT_EQ(stats.connections, 2u);
-  EXPECT_EQ(stats.batcher.batches, 1u);
-  EXPECT_EQ(stats.batcher.mean_occupancy, 2.0);
+  EXPECT_EQ(stats.batcher.batches, 2u);  // the held row, then both clients' rows
+  EXPECT_EQ(stats.batcher.completed, 3u);
   EXPECT_EQ(stats.frames_in, 2u);
   EXPECT_EQ(stats.frames_out, 2u);
 }
@@ -119,13 +128,17 @@ TEST(ServeServer, QueueFullSurfacesOnTheWireAndDrainAnswersTheAccepted) {
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts;
   opts.batcher.max_batch = 8;
-  opts.batcher.max_wait = 10s;  // park the accepted request until stop()
   opts.batcher.queue_capacity = 1;
   Server server(model, opts);
   Client client = server.connect();
 
   const std::vector<double> xs = random_rows(3, model->input_dim(), 11);
   const std::size_t dim = model->input_dim();
+  // Park the accepted request behind the held dispatcher until stop().
+  DynamicBatcher& lane = server.registry().acquire("")->lane(0);
+  std::future<void> stopped;  // declared before the hold: joined after it opens
+  DispatcherHold hold(lane, std::span(xs).subspan(0, dim));
+  ASSERT_TRUE(hold.held());
   const std::uint64_t id1 = client.send(std::span(xs).subspan(0, dim));
   const std::uint64_t id2 = client.send(std::span(xs).subspan(dim, dim));
   const std::uint64_t id3 = client.send(std::span(xs).subspan(2 * dim, dim));
@@ -133,8 +146,11 @@ TEST(ServeServer, QueueFullSurfacesOnTheWireAndDrainAnswersTheAccepted) {
   EXPECT_EQ(client.receive(id2).status, Status::kQueueFull);
   EXPECT_EQ(client.receive(id3).status, Status::kQueueFull);
 
-  // Orderly shutdown answers the parked request before closing.
-  server.stop();
+  // Orderly shutdown answers the parked request before closing: the hold
+  // opens only once the drain has begun.
+  stopped = std::async(std::launch::async, [&] { server.stop(); });
+  EXPECT_TRUE(release_into_drain(hold, lane, std::span(xs).subspan(0, dim)));
+  stopped.get();
   const Reply first = client.receive(id1);
   EXPECT_EQ(first.status, Status::kOk);
   runtime::Session direct(model);
@@ -212,7 +228,6 @@ TEST(ServeServer, StalledClientIsDroppedAndNeverBlocksStopOrOtherClients) {
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts;
   opts.batcher.max_batch = 8;
-  opts.batcher.max_wait = 200us;
   opts.write_timeout = 50ms;  // a client not reading counts as dead after this
   Server server(model, opts);
   Client stalled = server.connect();

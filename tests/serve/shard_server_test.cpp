@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
 #include <random>
@@ -23,6 +24,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/dispatcher_hold.hpp"
 #include "serve/wait.hpp"
 
 namespace dp::serve {
@@ -43,7 +45,6 @@ std::vector<double> random_rows(std::size_t rows, std::size_t dim, std::uint32_t
 ServerOptions sharded_options(std::size_t shards) {
   ServerOptions opts;
   opts.batcher.max_batch = 4;
-  opts.batcher.max_wait = 200us;
   opts.shards = shards;
   return opts;
 }
@@ -180,7 +181,6 @@ TEST(ShardServer, HotSwapUnderCrossShardInFlightTrafficDropsNothing) {
   ModelRegistry registry(kShards);
   BatcherOptions bopts;
   bopts.max_batch = 8;
-  bopts.max_wait = 50us;
   bopts.queue_capacity = 1u << 14;
   registry.load("m", model_a, bopts);
 
@@ -227,11 +227,20 @@ TEST(ShardServer, HotSwapUnderCrossShardInFlightTrafficDropsNothing) {
 TEST(ShardServer, StopDrainsEveryShardNoRequestUnanswered) {
   const auto model =
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
-  ServerOptions opts = sharded_options(4);
-  opts.batcher.max_wait = 5ms;  // park accepted requests so stop() must drain them
-  Server server(model, opts);
+  constexpr std::size_t kShards = 4;
+  Server server(model, sharded_options(kShards));
 
   const std::vector<double> xs = random_rows(1, model->input_dim(), 3);
+  // Hold every shard lane's only dispatcher, so every accepted request is
+  // still queued when stop() begins and only the drain can answer it.
+  std::vector<DynamicBatcher*> lanes;
+  std::future<void> stopped;  // declared before the holds: joined after they open
+  std::vector<std::unique_ptr<DispatcherHold>> holds;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    lanes.push_back(&server.registry().acquire("")->lane(i));
+    holds.push_back(std::make_unique<DispatcherHold>(*lanes[i], xs));
+    ASSERT_TRUE(holds[i]->held()) << "lane " << i;
+  }
   std::vector<Client> clients;
   std::vector<std::vector<std::uint64_t>> ids(8);
   for (std::size_t c = 0; c < ids.size(); ++c) {
@@ -240,16 +249,31 @@ TEST(ShardServer, StopDrainsEveryShardNoRequestUnanswered) {
       ids[c].push_back(clients[c].send(std::span<const double>(xs)));
     }
   }
-  server.stop();
+  const std::size_t sent = ids.size() * 4;
+  ASSERT_EQ(wait_for_stats(server, [&](const ServerStats& s) {
+              return s.batcher.queue_depth == sent;
+            }).batcher.queue_depth,
+            sent);
 
-  // Every pipelined request on every shard got a definitive answer: kOk if
-  // its batcher accepted it before the drain, kShutdown otherwise — and the
-  // stream then ends cleanly. Nothing may simply vanish.
+  // The registry drains the lanes one after another, so each hold opens once
+  // its own lane's shutdown has begun.
+  stopped = std::async(std::launch::async, [&] { server.stop(); });
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_TRUE(release_into_drain(*holds[i], *lanes[i], xs)) << "lane " << i;
+  }
+  stopped.get();
+
+  // Every pipelined request on every shard was accepted before the drain,
+  // so each gets a served answer — and the stream then ends cleanly.
+  // Nothing may simply vanish.
+  runtime::Session direct(model);
+  const auto want = direct.forward_bits(std::span<const double>(xs));
   for (std::size_t c = 0; c < ids.size(); ++c) {
     for (const std::uint64_t id : ids[c]) {
       const Reply reply = clients[c].receive(id);
-      EXPECT_TRUE(reply.status == Status::kOk || reply.status == Status::kShutdown)
+      EXPECT_EQ(reply.status, Status::kOk)
           << "client " << c << " id " << id << ": " << to_string(reply.status);
+      EXPECT_EQ(reply.bits, std::vector<std::uint32_t>(want.begin(), want.end()));
     }
     EXPECT_FALSE(clients[c].receive_frame().has_value()) << "client " << c;
   }

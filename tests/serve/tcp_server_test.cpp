@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <random>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "nn/quantize.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
+#include "serve/dispatcher_hold.hpp"
 #include "serve/wait.hpp"
 
 namespace dp::serve {
@@ -40,7 +42,6 @@ std::vector<double> random_rows(std::size_t rows, std::size_t dim, std::uint32_t
 ServerOptions tcp_options() {
   ServerOptions opts;
   opts.batcher.max_batch = 4;
-  opts.batcher.max_wait = 200us;
   opts.tcp_port = 0;  // ephemeral: tests never collide on a port
   return opts;
 }
@@ -90,7 +91,6 @@ TEST(ServeTcp, V2RoutingServesEachRegistryEntryWithItsOwnModel) {
   ModelRegistry registry;
   BatcherOptions fast;
   fast.max_batch = 4;
-  fast.max_wait = 200us;
   registry.load("posit8", posit8, fast);
   registry.load("fixed8", fixed8, fast);
 
@@ -161,7 +161,6 @@ TEST(ServeTcp, HotSwapUnderConcurrentInFlightRequestsDropsNothing) {
   ModelRegistry registry;
   BatcherOptions opts;
   opts.max_batch = 8;
-  opts.max_wait = 50us;
   opts.queue_capacity = 1u << 14;
   registry.load("m", model_a, opts);
 
@@ -296,19 +295,25 @@ TEST(ServeTcp, StopDrainsOverTcpAndRefusesNewConnects) {
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
   ServerOptions opts = tcp_options();
   opts.batcher.max_batch = 64;
-  opts.batcher.max_wait = 10s;  // park the request until stop() drains it
   Server server(model, opts);
   Client client = connect_tcp(server.tcp_port(), model);
   const std::vector<double> x = random_rows(1, model->input_dim(), 29);
+  // Park the request behind the held dispatcher until stop() drains it.
+  DynamicBatcher& lane = server.registry().acquire("")->lane(0);
+  std::future<void> stopped;  // declared before the hold: joined after it opens
+  DispatcherHold hold(lane, x);
+  ASSERT_TRUE(hold.held());
   const std::uint64_t id = client.send(x);
   // Over TCP the send only queues bytes in the kernel; wait until the loop
   // has read and admitted the request, or stop()'s drain would (correctly)
   // answer it kShutdown instead of serving it.
   const ServerStats st =
-      wait_for_stats(server, [](const ServerStats& s) { return s.batcher.accepted != 0; });
-  ASSERT_EQ(st.batcher.accepted, 1u);
+      wait_for_stats(server, [](const ServerStats& s) { return s.batcher.queue_depth != 0; });
+  ASSERT_EQ(st.batcher.queue_depth, 1u);
 
-  server.stop();
+  stopped = std::async(std::launch::async, [&] { server.stop(); });
+  EXPECT_TRUE(release_into_drain(hold, lane, x));
+  stopped.get();
   const Reply reply = client.receive(id);
   EXPECT_EQ(reply.status, Status::kOk);
   runtime::Session direct(model);
