@@ -64,7 +64,7 @@ struct BatcherOptions {
   /// Ignored: the batcher is work-conserving and never waits for company.
   /// Kept only because perfbench/serve.cpp still assigns it; the field goes
   /// when that line does.
-  std::chrono::microseconds max_wait{0};
+  std::chrono::microseconds max_wait{1000};
   /// Admission bound on pending (not yet carved) rows; beyond it, submit
   /// rejects with Status::kQueueFull.
   std::size_t queue_capacity = 1024;

@@ -79,6 +79,7 @@ TEST(ServeBatcher, LoneRequestFlushesOnDeadline) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.mean_occupancy, 1.0);
+  EXPECT_GT(stats.wait_p50_us, 0.0);
 }
 
 TEST(ServeBatcher, ExactCapacityBurstCoalescesIntoOneFullBatch) {
@@ -118,7 +119,7 @@ TEST(ServeBatcher, BacklogCarvesTrimToWholeTilesAndTheLastCarveDoesNot) {
   // that rest is longer than a tile.
   const auto model = small_model();
   const std::size_t tile = model->preferred_tile();
-  ASSERT_GE(tile, 2u);
+  if (tile < 2) GTEST_SKIP() << "no blocked kernel: nothing to trim";
   BatcherOptions opts;
   opts.max_batch = 2 * tile + 1;  // one row past two tiles: trimmed to 2 * tile
   DynamicBatcher batcher(model, opts);
@@ -187,7 +188,7 @@ TEST(ServeBatcher, AdmissionRejectsWithQueueFullAndDrainServesTheAccepted) {
   // Shutdown drains: every accepted request is served, never dropped. The
   // hold opens only once shutdown has begun, so the drain is what carves.
   stopped = std::async(std::launch::async, [&] { batcher.shutdown(); });
-  EXPECT_TRUE(release_into_drain(hold, batcher, std::span(xs).first(dim)));
+  EXPECT_TRUE(release_into_drain(hold));
   stopped.get();
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     ASSERT_EQ(accepted[i].wait_for(5s), std::future_status::ready) << i;

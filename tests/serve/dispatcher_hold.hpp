@@ -8,6 +8,7 @@
 // gate opens, and every row submitted meanwhile queues behind it — an exact
 // state, not a timing window.
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <latch>
@@ -21,12 +22,16 @@
 namespace dp::serve {
 
 /// Holds one dispatcher of `batcher` from construction until release() (or
-/// destruction). Declare it AFTER the batcher or server it holds, so that it
+/// destruction) with a row of input `x`, which also serves as the input of
+/// shutdown_begun()'s probes. Declare it AFTER the batcher or server it holds, so that it
 /// is released before their shutdown joins the dispatcher.
 class DispatcherHold {
  public:
   DispatcherHold(DynamicBatcher& batcher, std::span<const double> x)
-      : state_(std::make_shared<State>()), running_(state_->running.get_future()) {
+      : batcher_(&batcher),
+        x_(x.begin(), x.end()),
+        state_(std::make_shared<State>()),
+        running_(state_->running.get_future()) {
     batcher.submit(x, [s = state_](Status status, std::span<const std::uint32_t> bits) {
       s->reply = Reply{status, {bits.begin(), bits.end()}};
       s->running.set_value();
@@ -56,37 +61,57 @@ class DispatcherHold {
     open_ = true;
   }
 
+  bool released() const { return open_; }
+
+  /// Whether the held batcher's shutdown has begun. Probes with a submit of
+  /// the held row's input under an already-expired deadline: such a submit
+  /// completes inline and never queues, with kShutdown once shutdown() has
+  /// begun and kDeadlineExceeded before. Each probe counts in the batcher's
+  /// stats: one deadline_exceeded before the shutdown, one rejected after.
+  bool shutdown_begun() {
+    Status seen = Status::kOk;
+    batcher_->submit(
+        x_, [&seen](Status s, std::span<const std::uint32_t>) { seen = s; },
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1));
+    return seen == Status::kShutdown;
+  }
+
  private:
   struct State {
     std::latch gate{1};
     std::promise<void> running;
     Reply reply;
   };
+  DynamicBatcher* batcher_;
+  std::vector<double> x_;
   // Shared with the callback, so the gate outlives whichever side ends last.
   std::shared_ptr<State> state_;
   std::future<void> running_;
   bool open_ = false;
 };
 
-/// Release `hold` once `batcher`'s shutdown has begun (bounded wait), so the
-/// rows queued behind the hold leave through the shutdown drain rather than
-/// an ordinary carve. Returns whether the shutdown was seen in time; the
-/// hold is released either way. The shutdown is probed with submits of `x`
-/// under an already-expired deadline: such a submit completes inline and
-/// never queues, with kShutdown once shutdown() has begun and
-/// kDeadlineExceeded before (each of those counts one
-/// BatcherStats::deadline_exceeded).
-inline bool release_into_drain(DispatcherHold& hold, DynamicBatcher& batcher,
-                               std::span<const double> x) {
-  const bool draining = wait_until([&] {
-    Status seen = Status::kOk;
-    batcher.submit(
-        x, [&seen](Status s, std::span<const std::uint32_t>) { seen = s; },
-        std::chrono::steady_clock::now() - std::chrono::milliseconds(1));
-    return seen == Status::kShutdown;
+/// Release each of `holds` once its own batcher's shutdown has begun, so the
+/// rows queued behind it leave through the shutdown drain rather than an
+/// ordinary carve. Every round probes every hold still closed, so the order
+/// in which the batchers shut down does not matter: a server or registry
+/// stopping several of them drains one after another, and waiting on the
+/// holds one at a time in any other order would stall it. Returns whether every shutdown
+/// was seen within the bounded wait; every hold is released either way.
+/// The probes count in each batcher's deadline_exceeded and rejected (see
+/// DispatcherHold::shutdown_begun): a test that asserts those counters reads
+/// them before calling this.
+inline bool release_into_drain(std::vector<DispatcherHold*> holds) {
+  const bool all_draining = wait_until([&] {
+    for (DispatcherHold* hold : holds) {
+      if (!hold->released() && hold->shutdown_begun()) hold->release();
+    }
+    return std::all_of(holds.begin(), holds.end(),
+                       [](const DispatcherHold* hold) { return hold->released(); });
   });
-  hold.release();
-  return draining;
+  for (DispatcherHold* hold : holds) hold->release();
+  return all_draining;
 }
+
+inline bool release_into_drain(DispatcherHold& hold) { return release_into_drain({&hold}); }
 
 }  // namespace dp::serve

@@ -132,7 +132,7 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   // the parked request is flushed through the OLD model's Session, and the
   // swap cannot return before it is answered.
   swapped = std::async(std::launch::async, [&] { registry.load("m", new_model); });
-  EXPECT_TRUE(release_into_drain(hold, old_batcher, x));
+  EXPECT_TRUE(release_into_drain(hold));
   swapped.get();
   ASSERT_EQ(fut.wait_for(0s), std::future_status::ready) << "load() returned before the drain";
   const Reply reply = fut.get();
@@ -197,7 +197,7 @@ TEST(ServeRegistry, UnloadDrainsRemovesAndClearsTheDefault) {
 
   EXPECT_FALSE(registry.unload("nope"));
   unloaded = std::async(std::launch::async, [&] { return registry.unload("m"); });
-  EXPECT_TRUE(release_into_drain(hold, batcher, x));
+  EXPECT_TRUE(release_into_drain(hold));
   EXPECT_TRUE(unloaded.get());
   ASSERT_EQ(fut.wait_for(0s), std::future_status::ready) << "unload() returned before the drain";
   EXPECT_EQ(fut.get().status, Status::kOk);  // drained, not dropped
@@ -227,11 +227,10 @@ TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   std::future<Reply> fa = registry.acquire("a")->batcher.submit(x);
   std::future<Reply> fb = registry.acquire("b")->batcher.submit(x);
 
-  // shutdown_all() drains the entries one after another (in name order), so
-  // each hold opens once its own entry's drain has begun.
+  // shutdown_all() drains the entries one after another, so each hold opens
+  // once its own entry's drain has begun, whichever entry goes first.
   stopped = std::async(std::launch::async, [&] { registry.shutdown_all(); });
-  EXPECT_TRUE(release_into_drain(hold_a, a, x));
-  EXPECT_TRUE(release_into_drain(hold_b, b, x));
+  EXPECT_TRUE(release_into_drain({&hold_a, &hold_b}));
   stopped.get();
   EXPECT_EQ(fa.get().status, Status::kOk);
   EXPECT_EQ(fb.get().status, Status::kOk);

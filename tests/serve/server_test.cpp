@@ -149,7 +149,7 @@ TEST(ServeServer, QueueFullSurfacesOnTheWireAndDrainAnswersTheAccepted) {
   // Orderly shutdown answers the parked request before closing: the hold
   // opens only once the drain has begun.
   stopped = std::async(std::launch::async, [&] { server.stop(); });
-  EXPECT_TRUE(release_into_drain(hold, lane, std::span(xs).subspan(0, dim)));
+  EXPECT_TRUE(release_into_drain(hold));
   stopped.get();
   const Reply first = client.receive(id1);
   EXPECT_EQ(first.status, Status::kOk);

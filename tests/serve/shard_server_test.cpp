@@ -233,12 +233,10 @@ TEST(ShardServer, StopDrainsEveryShardNoRequestUnanswered) {
   const std::vector<double> xs = random_rows(1, model->input_dim(), 3);
   // Hold every shard lane's only dispatcher, so every accepted request is
   // still queued when stop() begins and only the drain can answer it.
-  std::vector<DynamicBatcher*> lanes;
   std::future<void> stopped;  // declared before the holds: joined after they open
   std::vector<std::unique_ptr<DispatcherHold>> holds;
   for (std::size_t i = 0; i < kShards; ++i) {
-    lanes.push_back(&server.registry().acquire("")->lane(i));
-    holds.push_back(std::make_unique<DispatcherHold>(*lanes[i], xs));
+    holds.push_back(std::make_unique<DispatcherHold>(server.registry().acquire("")->lane(i), xs));
     ASSERT_TRUE(holds[i]->held()) << "lane " << i;
   }
   std::vector<Client> clients;
@@ -255,12 +253,12 @@ TEST(ShardServer, StopDrainsEveryShardNoRequestUnanswered) {
             }).batcher.queue_depth,
             sent);
 
-  // The registry drains the lanes one after another, so each hold opens once
-  // its own lane's shutdown has begun.
+  // The lanes drain one after another, so each hold opens once its own
+  // lane's shutdown has begun, whichever lane goes first.
   stopped = std::async(std::launch::async, [&] { server.stop(); });
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_TRUE(release_into_drain(*holds[i], *lanes[i], xs)) << "lane " << i;
-  }
+  std::vector<DispatcherHold*> open_in_drain;
+  for (const auto& hold : holds) open_in_drain.push_back(hold.get());
+  EXPECT_TRUE(release_into_drain(std::move(open_in_drain)));
   stopped.get();
 
   // Every pipelined request on every shard was accepted before the drain,

@@ -312,7 +312,7 @@ TEST(ServeTcp, StopDrainsOverTcpAndRefusesNewConnects) {
   ASSERT_EQ(st.batcher.queue_depth, 1u);
 
   stopped = std::async(std::launch::async, [&] { server.stop(); });
-  EXPECT_TRUE(release_into_drain(hold, lane, x));
+  EXPECT_TRUE(release_into_drain(hold));
   stopped.get();
   const Reply reply = client.receive(id);
   EXPECT_EQ(reply.status, Status::kOk);
