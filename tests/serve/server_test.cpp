@@ -82,6 +82,53 @@ TEST(ServeServer, ServedBitsIdenticalToDirectSessionAcrossPaperGrid) {
   }
 }
 
+// A request word need not be a pattern the client's quantizer would emit:
+// ±Inf, every NaN payload and bits above n are all legal on the wire. The
+// server serves each word as the value it decodes to, so a float model's
+// reply must equal a direct Session fed those values.
+TEST(ServeServer, NonCanonicalRequestPatternsServeAsTheirDecodedValues) {
+  for (const num::FloatFormat ff : {num::FloatFormat{2, 5}, num::FloatFormat{4, 3}}) {
+    const num::Format fmt{ff};
+    const auto model = runtime::Model::create(nn::quantize(small_net(), fmt));
+    const std::size_t dim = model->input_dim();
+    // Every exponent-all-ones pattern (±Inf and each NaN payload), then
+    // every pattern with garbage above bit n, padded to whole rows.
+    const std::uint32_t all_ones = ((1u << ff.we) - 1) << ff.wf;
+    std::vector<std::uint32_t> words;
+    for (std::uint32_t p = 0; p < (1u << ff.n()); ++p) {
+      if ((p & all_ones) == all_ones) words.push_back(p);
+    }
+    for (std::uint32_t p = 0; p < (1u << ff.n()); ++p) words.push_back(p | 0xABCD0000u);
+    while (words.size() % dim != 0) words.push_back(0xFFFFFFFFu);
+    const std::size_t rows = words.size() / dim;
+
+    Server server(model);
+    Client client = server.connect();
+    for (std::size_t r = 0; r < rows; ++r) {
+      Frame frame;
+      frame.version = kProtocolV1;
+      frame.type = FrameType::kRequest;
+      frame.request_id = r + 1;
+      frame.payload.assign(words.begin() + static_cast<std::ptrdiff_t>(r * dim),
+                           words.begin() + static_cast<std::ptrdiff_t>((r + 1) * dim));
+      client.send_bytes(encode(frame));
+    }
+    runtime::Session direct(model);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::optional<Frame> reply = client.receive_frame();
+      ASSERT_TRUE(reply.has_value()) << fmt.name();
+      ASSERT_EQ(reply->status, Status::kOk) << fmt.name();
+      const std::size_t row = reply->request_id - 1;
+      ASSERT_LT(row, rows) << fmt.name();
+      std::vector<double> x(dim);
+      for (std::size_t i = 0; i < dim; ++i) x[i] = fmt.to_double(words[row * dim + i]);
+      const auto want = direct.forward_bits(x);
+      EXPECT_EQ(reply->payload, std::vector<std::uint32_t>(want.begin(), want.end()))
+          << fmt.name() << " row " << row;
+    }
+  }
+}
+
 TEST(ServeServer, RequestsFromTwoClientsCoalesceIntoOneMicroBatch) {
   const auto model =
       runtime::Model::create(nn::quantize(small_net(), num::Format{num::PositFormat{8, 0}}));
