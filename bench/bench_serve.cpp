@@ -46,6 +46,7 @@
 #include "core/percentile.hpp"
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
+#include "numeric/encode_table.hpp"
 #include "numeric/format.hpp"
 #include "runtime/session.hpp"
 #include "serve/server.hpp"
@@ -115,6 +116,12 @@ BurstResult run_burst_once(const std::shared_ptr<const runtime::Model>& model,
     std::condition_variable cv;
   } shared;
   shared.out.assign(total * out_dim, 0);
+  // The batcher admits input-format patterns: encode the rows up front, as
+  // a wire client does, with the one encode rule.
+  const num::Encoder encode(model->input_format());
+  std::vector<std::uint32_t> patterns;
+  patterns.reserve(xs.size());
+  for (const double v : xs) patterns.push_back(encode(v));
 
   const auto t0 = Clock::now();
   std::vector<std::thread> threads;
@@ -125,7 +132,7 @@ BurstResult run_burst_once(const std::shared_ptr<const runtime::Model>& model,
         const std::size_t i = c * per_client + r;
         const std::size_t row = i % (xs.size() / dim);
         batcher.submit(
-            std::span(xs).subspan(row * dim, dim),
+            std::span(patterns).subspan(row * dim, dim),
             [&shared, i, out_dim, total](serve::Status s,
                                          std::span<const std::uint32_t> bits) {
               if (s != serve::Status::kOk) {

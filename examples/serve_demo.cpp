@@ -13,6 +13,7 @@
 
 #include "core/experiment.hpp"
 #include "nn/quantize.hpp"
+#include "numeric/encode_table.hpp"
 #include "runtime/session.hpp"
 #include "serve/server.hpp"
 
@@ -100,8 +101,12 @@ int main() {
   tiny.batcher.max_batch = 64;
   tiny.batcher.queue_capacity = 2;
   serve::Server small(model, tiny);
+  // A lane admits input-format patterns, encoded as a wire client does.
+  const num::Encoder encode(model->input_format());
+  std::vector<std::uint32_t> held;
+  for (const double v : task.split.test.x[0]) held.push_back(encode(v));
   small.registry().acquire("")->lane(0).submit(
-      task.split.test.x[0], [&](serve::Status, std::span<const std::uint32_t>) {
+      held, [&](serve::Status, std::span<const std::uint32_t>) {
         holding.set_value();
         gate.wait();
       });

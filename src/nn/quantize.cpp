@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "numeric/encode_table.hpp"
@@ -11,23 +10,8 @@ namespace dp::nn {
 
 namespace {
 
-/// fmt.from_double, through the format's shared encode table when it has one
-/// (n <= 8): the same patterns in a few ns instead of a few tens.
-class Encoder {
- public:
-  explicit Encoder(const num::Format& fmt) : fmt_(fmt), table_(num::shared_encode_table(fmt)) {}
-  std::uint32_t operator()(float x) const {
-    const double v = static_cast<double>(x);
-    return table_ != nullptr ? table_->encode(v) : fmt_.from_double(v);
-  }
-
- private:
-  const num::Format& fmt_;
-  std::shared_ptr<const num::EncodeTable> table_;
-};
-
 QuantizedLayer quantize_layer(const DenseLayer& layer, const num::Format& fmt) {
-  const Encoder encode(fmt);
+  const num::Encoder encode(fmt);
   QuantizedLayer ql;
   ql.fan_in = layer.fan_in();
   ql.fan_out = layer.fan_out();
@@ -93,7 +77,7 @@ QuantizedNetwork quantize(const Mlp& net, std::span<const num::Format> fmts) {
 }
 
 QuantError quantization_error(const Mlp& net, const num::Format& fmt) {
-  const Encoder encode(fmt);
+  const num::Encoder encode(fmt);
   QuantError e;
   std::size_t count = 0;
   for (const float p : net.parameters()) {

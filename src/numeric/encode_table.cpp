@@ -26,6 +26,10 @@ EncodeTable::EncodeTable(const Format& fmt) : fmt_(fmt) {
   }
   zero_[0] = fmt.from_double(0.0);
   zero_[1] = fmt.from_double(-0.0);
+  canonical_.resize(std::size_t{1} << fmt.total_bits());
+  for (std::uint32_t p = 0; p < canonical_.size(); ++p) {
+    canonical_[p] = fmt.from_double(fmt.to_double(p));
+  }
   for (int m = 0; m <= kMaxMantissaBits; ++m) {
     if (build(m)) return;
   }

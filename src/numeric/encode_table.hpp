@@ -55,6 +55,14 @@ class EncodeTable {
     return b.pattern[x >= b.thr];
   }
 
+  /// fmt.from_double(fmt.to_double(p)), bits above n ignored: the pattern
+  /// the quantizer emits for p's value. The mask for posit and fixed; a
+  /// float ±Inf also saturates to ±max and every NaN payload folds to the
+  /// one NaN from_double emits.
+  std::uint32_t canonical(std::uint32_t p) const {
+    return canonical_[p & (canonical_.size() - 1)];
+  }
+
   const Format& format() const { return fmt_; }
   /// Mantissa bits in the bucket key (the m above).
   int mantissa_bits() const { return 52 - shift_; }
@@ -81,11 +89,35 @@ class EncodeTable {
   std::uint64_t keys_per_sign_ = 0;
   std::vector<Bucket> buckets_;  // [positive keys..., negative keys...]
   std::uint32_t zero_[2] = {};   // fmt.from_double(+0.0), fmt.from_double(-0.0)
+  std::vector<std::uint32_t> canonical_;  // canonical(p) for every pattern p
 };
 
 /// The process-wide table for `fmt`, built on first use and shared
 /// read-only by every caller; nullptr when fmt is wider than
 /// EncodeTable::kMaxBits (callers then use fmt.from_double).
 std::shared_ptr<const EncodeTable> shared_encode_table(const Format& fmt);
+
+/// The one rule for what becomes a kernel input: fmt.from_double, through
+/// the format's shared table when it has one (n <= 8) — the same patterns in
+/// a few ns instead of a few tens. Quantizer, Model input and wire client all
+/// encode through it.
+class Encoder {
+ public:
+  explicit Encoder(const Format& fmt) : fmt_(fmt), table_(shared_encode_table(fmt)) {}
+
+  std::uint32_t operator()(double x) const {
+    return table_ != nullptr ? table_->encode(x) : fmt_.from_double(x);
+  }
+
+  /// A pattern encoded by the same rule as the value it decodes to:
+  /// fmt.from_double(fmt.to_double(p)) (EncodeTable::canonical).
+  std::uint32_t canonical(std::uint32_t p) const {
+    return table_ != nullptr ? table_->canonical(p) : fmt_.from_double(fmt_.to_double(p));
+  }
+
+ private:
+  Format fmt_;
+  std::shared_ptr<const EncodeTable> table_;
+};
 
 }  // namespace dp::num

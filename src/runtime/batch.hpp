@@ -1,12 +1,13 @@
 #pragma once
 // Zero-copy batch types for the dp::runtime inference API.
 //
-// The hot path never sees a vector-of-vectors: inputs arrive as a BatchView —
-// a non-owning view of one contiguous, row-major double buffer — and results
-// leave as a BatchResult — one flat, row-major allocation of bit patterns or
-// decoded scores. A serving front-end can point a BatchView straight at its
-// request buffer (or at a dataset slice) and hand rows to the worker pool
-// without a single per-row allocation or pointer chase.
+// The hot path never sees a vector-of-vectors: inputs arrive as a BatchView
+// (doubles, quantized on entry) or a PatternView (input-format bit patterns,
+// as the wire carries them) — a non-owning view of one contiguous, row-major
+// buffer — and results leave as a BatchResult — one flat, row-major
+// allocation of bit patterns or decoded scores. A serving front-end can point
+// a view straight at its request buffer (or at a dataset slice) and hand rows
+// to the worker pool without a single per-row allocation or pointer chase.
 
 #include <cstddef>
 #include <cstdint>
@@ -17,14 +18,15 @@
 namespace dp::runtime {
 
 /// Non-owning view of a contiguous row-major batch: `rows() x row_width()`
-/// doubles, row i at data()[i * row_width()]. The viewed buffer must outlive
-/// the view (the usual std::span contract). An empty view (zero rows) is
-/// valid as long as row_width is non-zero.
-class BatchView {
+/// values of T, row i at data()[i * row_width()]. The viewed buffer must
+/// outlive the view (the usual std::span contract). An empty view (zero rows)
+/// is valid as long as row_width is non-zero.
+template <typename T>
+class BasicBatchView {
  public:
-  BatchView() = default;
+  BasicBatchView() = default;
 
-  BatchView(std::span<const double> data, std::size_t row_width)
+  BasicBatchView(std::span<const T> data, std::size_t row_width)
       : data_(data), row_width_(row_width) {
     if (row_width == 0) {
       throw std::invalid_argument("BatchView: row width must be non-zero");
@@ -38,16 +40,24 @@ class BatchView {
   std::size_t row_width() const { return row_width_; }
   bool empty() const { return data_.empty(); }
 
-  std::span<const double> row(std::size_t i) const {
+  std::span<const T> row(std::size_t i) const {
     return data_.subspan(i * row_width_, row_width_);
   }
 
-  const double* data() const { return data_.data(); }
+  const T* data() const { return data_.data(); }
 
  private:
-  std::span<const double> data_;
+  std::span<const T> data_;
   std::size_t row_width_ = 0;
 };
+
+/// Rows of real features; the Model quantizes them into its input format.
+using BatchView = BasicBatchView<double>;
+/// Rows of input-format bit patterns. The Model reads each word as the value
+/// it decodes to: bits above n are ignored, and a pattern the quantizer never
+/// emits (a float ±Inf or NaN payload) is re-encoded as the quantizer would
+/// encode that value — exactly a BatchView of the decoded doubles.
+using PatternView = BasicBatchView<std::uint32_t>;
 
 /// Owning flat row-major batch output: `rows() x row_width` values of T
 /// (std::uint32_t bit patterns or double scores) in one allocation, row i at

@@ -33,7 +33,9 @@ std::vector<std::unique_ptr<emac::Emac>> make_units(const nn::QuantizedNetwork& 
 }  // namespace
 
 Model::Model(nn::QuantizedNetwork network, ForwardPath path)
-    : net_(std::move(network)), path_(step_path_forced() ? ForwardPath::kStep : path) {
+    : net_(std::move(network)),
+      path_(step_path_forced() ? ForwardPath::kStep : path),
+      input_encoder_(net_.input_format()) {
   if (net_.layers.empty()) throw std::invalid_argument("runtime::Model: empty network");
   // A malformed per-layer format table must fail here, before any of it is
   // trusted to size an accumulator or pick a kernel.
@@ -41,9 +43,8 @@ Model::Model(nn::QuantizedNetwork network, ForwardPath path)
   // Fails fast on unsupported format/fan-in combinations and provides the
   // units that decode the weight planes below.
   const std::vector<std::unique_ptr<emac::Emac>> units = make_units(net_);
-  // Formats of n <= 8 encode inputs and re-encode at mixed boundaries
-  // through tables that match from_double and num::convert bit for bit.
-  input_table_ = num::shared_encode_table(net_.input_format());
+  // Formats of n <= 8 re-encode at mixed boundaries through tables that
+  // match num::convert bit for bit.
   boundary_tables_.resize(net_.layers.size());
   for (std::size_t li = 1; li < net_.layers.size(); ++li) {
     const num::Format& from = net_.layer_format(li - 1);
@@ -151,32 +152,47 @@ const char* Model::kernel_name() const {
   return name;
 }
 
-void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
-                              Scratch& scratch, std::uint32_t* out) const {
-  if (nrows == 0 || nrows > tile_ || row0 + nrows > xs.rows()) {
+std::uint32_t* Model::input_lanes(std::size_t rows, std::size_t width, std::size_t row0,
+                                  std::size_t nrows, Scratch& scratch) const {
+  if (nrows == 0 || nrows > tile_ || row0 + nrows > rows) {
     throw std::invalid_argument("runtime::Model::forward_tile_into: bad tile range");
   }
-  if (xs.row_width() != net_.input_dim()) {
+  if (width != net_.input_dim()) {
     throw std::invalid_argument("runtime::Model::forward_tile_into: bad input size");
   }
+  // Inputs go straight into the lane-interleaved layout the kernels consume:
+  // element i of sample s at [i*tile + s]. Pad lanes stay zero and are never
+  // read: every loop stops at s < nrows.
+  scratch.bits_.assign(width * tile_, 0);
+  return scratch.bits_.data();
+}
+
+void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
+                              Scratch& scratch, std::uint32_t* out) const {
+  std::uint32_t* bits = input_lanes(xs.rows(), xs.row_width(), row0, nrows, scratch);
+  for (std::size_t s = 0; s < nrows; ++s) {
+    const std::span<const double> row = xs.row(row0 + s);
+    for (std::size_t i = 0; i < row.size(); ++i) bits[i * tile_ + s] = input_encoder_(row[i]);
+  }
+  run_layers(nrows, scratch, out);
+}
+
+void Model::forward_tile_into(PatternView xs, std::size_t row0, std::size_t nrows,
+                              Scratch& scratch, std::uint32_t* out) const {
+  std::uint32_t* bits = input_lanes(xs.rows(), xs.row_width(), row0, nrows, scratch);
+  for (std::size_t s = 0; s < nrows; ++s) {
+    const std::span<const std::uint32_t> row = xs.row(row0 + s);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      bits[i * tile_ + s] = input_encoder_.canonical(row[i]);
+    }
+  }
+  run_layers(nrows, scratch, out);
+}
+
+void Model::run_layers(std::size_t nrows, Scratch& scratch, std::uint32_t* out) const {
   const std::size_t tile = tile_;
   std::vector<std::uint32_t>& bits = scratch.bits_;
   std::vector<std::uint32_t>& next = scratch.next_;
-  // Quantize the tile straight into the lane-interleaved layout the kernels
-  // consume: element i of sample s at [i*tile + s]. Pad lanes stay zero and
-  // are never read: every loop below stops at s < nrows.
-  const std::size_t in_dim = net_.input_dim();
-  bits.assign(in_dim * tile, 0);
-  for (std::size_t s = 0; s < nrows; ++s) {
-    const std::span<const double> row = xs.row(row0 + s);
-    if (const num::EncodeTable* table = input_table_.get()) {
-      for (std::size_t i = 0; i < in_dim; ++i) bits[i * tile + s] = table->encode(row[i]);
-    } else {
-      for (std::size_t i = 0; i < in_dim; ++i) {
-        bits[i * tile + s] = net_.input_format().from_double(row[i]);
-      }
-    }
-  }
   for (std::size_t li = 0; li < net_.layers.size(); ++li) {
     const nn::QuantizedLayer& layer = net_.layers[li];
     const num::Format& fmt = net_.layer_format(li);

@@ -123,22 +123,34 @@ class Model {
   /// Fresh per-thread mutable state for forward_tile_into.
   Scratch make_scratch() const;
 
-  /// The one inference entry point: quantize rows [row0, row0 + nrows) of
-  /// `xs` into the input format, stream them through every layer and write
+  /// The inference entry point: quantize rows [row0, row0 + nrows) of `xs`
+  /// into the input format, stream them through every layer and write
   /// sample s's readout patterns to out[s*output_dim() .. (s+1)*output_dim()).
   /// Throws std::invalid_argument unless 0 < nrows <= preferred_tile(), the
   /// rows exist and xs.row_width() == input_dim().
   void forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
                          Scratch& scratch, std::uint32_t* out) const;
 
+  /// The same on input-format patterns (the serve path): each word goes in
+  /// as num::Encoder::canonical re-encodes it, so the readout equals the
+  /// BatchView entry fed input_format().to_double of every word.
+  void forward_tile_into(PatternView xs, std::size_t row0, std::size_t nrows,
+                         Scratch& scratch, std::uint32_t* out) const;
+
  private:
   static std::uint32_t relu(std::uint32_t bits, const num::Format& fmt);
 
+  /// Throws unless rows [row0, row0 + nrows) of a `rows` x `width` batch
+  /// form one valid tile; returns scratch's cleared, lane-interleaved input
+  /// lanes.
+  std::uint32_t* input_lanes(std::size_t rows, std::size_t width, std::size_t row0,
+                             std::size_t nrows, Scratch& scratch) const;
+  /// Every layer on the input lanes in scratch; the readout goes to `out`.
+  void run_layers(std::size_t nrows, Scratch& scratch, std::uint32_t* out) const;
+
   nn::QuantizedNetwork net_;
   ForwardPath path_;
-  // The input format's shared encode table; nullptr when it is wider than 8
-  // bits (forward_tile_into then calls from_double).
-  std::shared_ptr<const num::EncodeTable> input_table_;
+  num::Encoder input_encoder_;
   // One per layer; see boundary_table().
   std::vector<std::vector<std::uint32_t>> boundary_tables_;
   // Blocked kernels + packed planes, one per layer; empty on the step path

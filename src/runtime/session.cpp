@@ -57,7 +57,8 @@ BatchResult<std::uint32_t> Session::forward_bits(BatchView xs) {
   return out;
 }
 
-void Session::forward_bits_into(BatchView xs, std::span<std::uint32_t> out) {
+template <typename T>
+void Session::forward_tiles(BasicBatchView<T> xs, std::span<std::uint32_t> out) {
   if (xs.rows() != 0 && xs.row_width() != model_->input_dim()) {
     throw std::invalid_argument("runtime::Session: batch row width != model input_dim");
   }
@@ -79,6 +80,14 @@ void Session::forward_bits_into(BatchView xs, std::span<std::uint32_t> out) {
         model_->forward_tile_into(xs, row0, nrows, scratch_[slot], out.data() + row0 * width);
       },
       /*chunk=*/1);
+}
+
+void Session::forward_bits_into(BatchView xs, std::span<std::uint32_t> out) {
+  forward_tiles(xs, out);
+}
+
+void Session::forward_bits_into(PatternView xs, std::span<std::uint32_t> out) {
+  forward_tiles(xs, out);
 }
 
 BatchResult<double> Session::forward(BatchView xs) {

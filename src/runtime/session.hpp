@@ -85,6 +85,12 @@ class Session {
   /// std::invalid_argument unless out.size() == xs.rows() * output_dim().
   void forward_bits_into(BatchView xs, std::span<std::uint32_t> out);
 
+  /// The same on input-format bit patterns, the serve path's entry
+  /// (serve::DynamicBatcher): the rows stay in the pattern domain, and the
+  /// readout equals forward_bits_into on the doubles the patterns decode to
+  /// (runtime/batch.hpp, PatternView).
+  void forward_bits_into(PatternView xs, std::span<std::uint32_t> out);
+
   /// Fraction of rows whose prediction equals the label; labels.size() must
   /// equal xs.rows(). Returns 0 for an empty batch.
   double accuracy(BatchView xs, std::span<const int> labels);
@@ -92,6 +98,10 @@ class Session {
  private:
   /// forward_bits_into on the one-row view of `x` into bits_.
   void forward_one(std::span<const double> x);
+
+  /// Both forward_bits_into overloads: the checks, the tiles and the pool.
+  template <typename T>
+  void forward_tiles(BasicBatchView<T> xs, std::span<std::uint32_t> out);
 
   std::shared_ptr<const Model> model_;
   std::shared_ptr<WorkerPool> pool_;  // private by default; shared via options

@@ -49,7 +49,7 @@ DynamicBatcher::DynamicBatcher(std::shared_ptr<const runtime::Model> model,
 
 DynamicBatcher::~DynamicBatcher() { shutdown(); }
 
-void DynamicBatcher::submit(std::span<const double> x, Callback cb, Deadline deadline) {
+void DynamicBatcher::submit(std::span<const std::uint32_t> x, Callback cb, Deadline deadline) {
   if (x.size() != model_->input_dim()) {
     throw std::invalid_argument("serve::DynamicBatcher: sample size != model input_dim");
   }
@@ -84,7 +84,7 @@ void DynamicBatcher::submit(std::span<const double> x, Callback cb, Deadline dea
   cv_.notify_one();
 }
 
-std::future<Reply> DynamicBatcher::submit(std::span<const double> x) {
+std::future<Reply> DynamicBatcher::submit(std::span<const std::uint32_t> x) {
   auto promise = std::make_shared<std::promise<Reply>>();
   std::future<Reply> fut = promise->get_future();
   submit(x, [promise](Status s, std::span<const std::uint32_t> bits) {
@@ -144,10 +144,10 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
   const std::size_t dim = model_->input_dim();
   const std::size_t out_dim = model_->output_dim();
 
-  std::vector<double> batch_x;      // carved live rows, contiguous row-major
-  std::vector<Pending> batch_meta;  // their callbacks, same order
-  std::vector<Pending> shed_meta;   // carved rows whose deadline has passed
-  std::vector<std::uint32_t> out;   // flush output, reused across flushes
+  std::vector<std::uint32_t> batch_x;  // carved live rows, contiguous row-major
+  std::vector<Pending> batch_meta;     // their callbacks, same order
+  std::vector<Pending> shed_meta;      // carved rows whose deadline has passed
+  std::vector<std::uint32_t> out;      // flush output, reused across flushes
 
   std::unique_lock<std::mutex> lk(m_);
   for (;;) {
@@ -156,7 +156,7 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
     // Work-conserving carve: an idle dispatcher takes whatever is pending,
     // up to max_batch, at once — it never lingers for company. Batches form
     // only while every dispatcher is busy, which is when they pay. The carve
-    // holds the lock (memcpy of doubles + callback moves; the inference runs
+    // holds the lock (memcpy of patterns + callback moves; the inference runs
     // unlocked). Rows whose shed deadline has passed are split off here —
     // they never reach the Session — and the carve only advances head_;
     // compaction below is amortized O(1)/row.
@@ -226,7 +226,7 @@ void DynamicBatcher::dispatcher_main(std::size_t index) {
     out.resize(live * out_dim);
     Status status = Status::kOk;
     try {
-      session.forward_bits_into(runtime::BatchView(batch_x, dim), out);
+      session.forward_bits_into(runtime::PatternView(batch_x, dim), out);
     } catch (...) {
       // A model/session failure must not strand the requests; surface it as
       // a per-request error status. (With dimensions validated at submit,

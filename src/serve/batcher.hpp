@@ -2,9 +2,10 @@
 // serve::DynamicBatcher — the micro-batching heart of the serving stack.
 //
 // Independent single-sample requests are admitted into one bounded queue
-// whose rows live in a single contiguous row-major staging buffer (the
-// coalescing is the append: a flush is a BatchView pointed straight at the
-// carved rows, no per-row gather). Dispatcher threads — each owning a
+// whose rows — input-format bit patterns, as the wire carries them — live
+// in a single contiguous row-major staging buffer (the coalescing is the
+// append: a flush is a runtime::PatternView pointed straight at the carved
+// rows, no per-row gather). Dispatcher threads — each owning a
 // private runtime::Session over the shared Model — carve micro-batches off
 // the queue front. The batcher is WORK-CONSERVING (Clipper's adaptive
 // batching, Crankshaw et al., NSDI 2017): a dispatcher that wakes with rows
@@ -130,17 +131,19 @@ class DynamicBatcher {
   /// A request's absolute shed deadline (steady clock); nullopt = none.
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
-  /// Admit one sample (x.size() must equal model().input_dim(); anything
-  /// else throws std::invalid_argument — dimension checking of untrusted
-  /// input belongs to the caller, e.g. the Server, which maps it to
-  /// kBadRequest). The sample is copied into the staging buffer; `cb` fires
-  /// exactly once. Rejections (queue full, shutdown) invoke `cb` inline
-  /// before submit returns — as does an already-expired `deadline`, which
-  /// completes with kDeadlineExceeded without ever occupying queue space.
-  void submit(std::span<const double> x, Callback cb, Deadline deadline = std::nullopt);
+  /// Admit one sample: `x` holds model().input_dim() input-format bit
+  /// patterns, read as runtime::PatternView reads them (a caller holding
+  /// doubles encodes them with num::Encoder). Any other size throws
+  /// std::invalid_argument — dimension checking of untrusted input belongs
+  /// to the caller, e.g. the Server, which maps it to kBadRequest. The
+  /// sample is copied into the staging buffer; `cb` fires exactly once.
+  /// Rejections (queue full, shutdown) invoke `cb` inline before submit
+  /// returns — as does an already-expired `deadline`, which completes with
+  /// kDeadlineExceeded without ever occupying queue space.
+  void submit(std::span<const std::uint32_t> x, Callback cb, Deadline deadline = std::nullopt);
 
   /// Future-flavoured submit for callers without a completion loop.
-  std::future<Reply> submit(std::span<const double> x);
+  std::future<Reply> submit(std::span<const std::uint32_t> x);
 
   /// Stop admitting (further submits complete with kShutdown), flush every
   /// already-accepted request, and join the dispatchers. Idempotent; the
@@ -174,12 +177,12 @@ class DynamicBatcher {
   std::condition_variable cv_;
   bool stop_ = false;
   // The admission queue: row i of pending_x_ belongs to pending_[i]. One
-  // contiguous row-major buffer so a carve is memcpy + BatchView, never a
-  // per-row gather. Carves advance head_ instead of erasing from the front
-  // (O(take) per flush, not O(backlog)); the buffers compact when the queue
-  // empties or the dead prefix exceeds queue_capacity rows, so memory stays
-  // bounded by ~2x capacity.
-  std::vector<double> pending_x_;
+  // contiguous row-major buffer of patterns so a carve is memcpy +
+  // PatternView, never a per-row gather. Carves advance head_ instead of
+  // erasing from the front (O(take) per flush, not O(backlog)); the buffers
+  // compact when the queue empties or the dead prefix exceeds
+  // queue_capacity rows, so memory stays bounded by ~2x capacity.
+  std::vector<std::uint32_t> pending_x_;
   std::vector<Pending> pending_;
   std::size_t head_ = 0;  // rows of pending_ already carved
   std::size_t depth_locked() const { return pending_.size() - head_; }

@@ -68,11 +68,15 @@
 // always plain v1 regardless of request encoding.
 //
 // A request payload is the input sample, one pattern per feature, already
-// quantized into the target model's format (Client::send does this with
-// Format::from_double — round-to-nearest-even is idempotent on representable
-// values, which is what makes served outputs bit-identical to a direct
-// runtime::Session call on the same doubles). A response payload is the
-// readout activations. Error responses carry an empty payload.
+// quantized into the target model's input format (Client::send does this
+// with num::Encoder, the same rule runtime::Session applies to doubles, so
+// served outputs are bit-identical to a direct Session call on the same
+// doubles). The server hands the patterns to the model as they are, and a
+// word w is served as the value it decodes to, to_double(w): bits above n
+// are ignored, and a pattern the quantizer never emits (a float ±Inf or NaN
+// payload) is re-encoded as the quantizer encodes that value
+// (runtime::PatternView). A response payload is the readout activations.
+// Error responses carry an empty payload.
 //
 // decode() never trusts the peer: magic, version, type, status, length
 // bounds and CRC are all checked before any payload byte is interpreted, and

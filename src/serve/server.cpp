@@ -551,11 +551,6 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
     patterns = decoded;
   }
   if (patterns.size() != dim) return reject(Status::kBadRequest);
-  // The wire carries the sample as format bit patterns; the Session
-  // quantizes its input, and RNE quantization is idempotent on representable
-  // values, so this decode->requantize round trip is exact.
-  sh.x_scratch.resize(dim);
-  for (std::size_t i = 0; i < dim; ++i) sh.x_scratch[i] = fmt.to_double(patterns[i]);
   // The v4 deadline budget is relative (microseconds remaining, so it
   // survives clock skew); anchor it to OUR steady clock the moment the
   // request enters the process. The batcher sheds it with kDeadlineExceeded
@@ -570,8 +565,10 @@ void Server::handle_request(Shard& sh, const std::shared_ptr<Conn>& conn, Frame 
   // registry with fewer lanes than shards still routes correctly).
   const std::uint8_t encoding = frame.payload_encoding;
   const int width = lease->model->output_format().total_bits();
+  // The patterns go to the lane as they are: the batcher stages them and
+  // the Model reads them as the values they decode to (runtime::PatternView).
   lease->lane(sh.index).submit(
-      sh.x_scratch,
+      patterns,
       [&sh, conn, id, encoding, width](Status status, std::span<const std::uint32_t> bits) {
         // Encode here, off the loop; only the loop touches conn itself. This
         // runs on a dispatcher, or inline on the loop (an admission reject).
@@ -642,7 +639,7 @@ std::uint64_t Client::send(std::span<const double> x, std::uint64_t deadline_bud
   frame.payload.reserve(x.size());
   // Requests are always INPUT-format patterns; replies come back in the
   // model's OUTPUT format (they differ for a mixed-precision model).
-  for (const double v : x) frame.payload.push_back(model_->input_format().from_double(v));
+  for (const double v : x) frame.payload.push_back(encode_(v));
   if (opts_.compress) {
     frame.payload_encoding = kPayloadEncodingCodec;
     frame.payload = codec::encode_payload(frame.payload, model_->input_format().total_bits());

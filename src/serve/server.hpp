@@ -77,6 +77,7 @@
 #include <thread>
 #include <vector>
 
+#include "numeric/encode_table.hpp"
 #include "numeric/format.hpp"
 #include "runtime/model.hpp"
 #include "serve/batcher.hpp"
@@ -274,7 +275,6 @@ class Server {
     std::vector<Listener> listeners;
     FdStream wake_r, wake_w;          // self-pipe: inbox non-empty / stop
     std::thread loop;
-    std::vector<double> x_scratch;    // request decode buffer; loop only
     std::vector<std::uint8_t> chunk;  // one read() slice; loop only
 
     mutable std::mutex m;  // counters and inbox
@@ -352,7 +352,7 @@ class Client {
   /// e.g. through a fault-injecting relay). `model` must describe the entry
   /// requests route to; an empty `model_name` speaks v1 to the default entry.
   Client(std::shared_ptr<const runtime::Model> model, FdStream stream, std::string model_name)
-      : model_(std::move(model)), stream_(std::move(stream)),
+      : model_(std::move(model)), encode_(model_->input_format()), stream_(std::move(stream)),
         model_name_(std::move(model_name)) {}
 
   Client(Client&&) = default;
@@ -441,6 +441,7 @@ class Client {
   std::optional<std::chrono::steady_clock::time_point> recv_deadline() const;
 
   std::shared_ptr<const runtime::Model> model_;
+  num::Encoder encode_;  // the model's input format
   FdStream stream_;
   std::string model_name_;
   ClientOptions opts_;

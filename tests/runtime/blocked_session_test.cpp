@@ -20,6 +20,7 @@
 
 #include "nn/mlp.hpp"
 #include "nn/quantize.hpp"
+#include "numeric/encode_table.hpp"
 #include "numeric/format.hpp"
 #include "serve/batcher.hpp"
 
@@ -36,6 +37,10 @@ std::vector<double> random_batch(std::size_t rows, std::size_t dim, std::uint32_
   return xs;
 }
 
+/// Why a test that checks the blocked kernels skips: DP_FORCE_STEP_PATH=1
+/// put a model that asked for ForwardPath::kBlocked on the step path.
+constexpr const char* kStepForced = "DP_FORCE_STEP_PATH: no blocked kernel to check";
+
 std::vector<num::Format> rep_formats() {
   return {num::Format{num::PositFormat{8, 0}}, num::Format{num::PositFormat{5, 1}},
           num::Format{num::FloatFormat{4, 3}}, num::Format{num::FixedFormat{8, 6}}};
@@ -45,6 +50,7 @@ TEST(BlockedSession, BitIdenticalToPerSamplePathAcrossPoolAndBatchShapes) {
   const nn::Mlp net = random_net();
   for (const num::Format& fmt : rep_formats()) {
     const auto model = Model::create(nn::quantize(net, fmt));
+    if (model->forward_path() == ForwardPath::kStep) GTEST_SKIP() << kStepForced;
     ASSERT_TRUE(model->blocked_available()) << fmt.name();
     const std::size_t tile = model->preferred_tile();
     ASSERT_GE(tile, 2u) << fmt.name();
@@ -88,6 +94,7 @@ TEST(BlockedSession, ForcedScalarKernelIsBitIdenticalToDispatched) {
   const bool had_outer = outer_env != nullptr;
   const std::string outer(had_outer ? outer_env : "");
   const auto dispatched = Model::create(nn::quantize(net, fmt));
+  if (dispatched->forward_path() == ForwardPath::kStep) GTEST_SKIP() << kStepForced;
 #if defined(DP_HAVE_AVX2_KERNEL)
   if ((outer.empty() || outer == "0") && __builtin_cpu_supports("avx2")) {
     EXPECT_STREQ(dispatched->kernel_name(), "avx2");
@@ -134,6 +141,7 @@ TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
   // the default path falls back to the step recurrence.
   const num::Format wide{num::PositFormat{16, 3}};
   const auto fallback = Model::create(nn::quantize(net, wide));
+  if (fallback->forward_path() == ForwardPath::kStep) GTEST_SKIP() << kStepForced;
   EXPECT_EQ(fallback->forward_path(), ForwardPath::kBlocked);
   EXPECT_FALSE(fallback->blocked_available());
   EXPECT_STREQ(fallback->kernel_name(), "none");
@@ -146,6 +154,7 @@ TEST(BlockedSession, StepPathModelHasNoBlockedKernels) {
 TEST(BlockedSession, BatcherTileAlignedFlushesHonorMaxWaitForLoneRequests) {
   const nn::Mlp net = random_net();
   const auto model = Model::create(nn::quantize(net, num::Format{num::PositFormat{8, 0}}));
+  if (model->forward_path() == ForwardPath::kStep) GTEST_SKIP() << kStepForced;
   const std::size_t tile = model->preferred_tile();
   ASSERT_GE(tile, 2u);
 
@@ -156,7 +165,9 @@ TEST(BlockedSession, BatcherTileAlignedFlushesHonorMaxWaitForLoneRequests) {
 
   // A lone request (far fewer than one tile pending) leaves at once as a
   // batch of one: tile alignment only trims carves that leave rows queued.
-  const std::vector<double> x(net.input_dim(), 0.25);
+  // The batcher admits input-format patterns, encoded by the one rule.
+  const num::Encoder encode(model->input_format());
+  const std::vector<std::uint32_t> x(net.input_dim(), encode(0.25));
   std::future<serve::Reply> lone = batcher.submit(x);
   ASSERT_EQ(lone.wait_for(std::chrono::seconds(10)), std::future_status::ready);
   const serve::Reply reply = lone.get();
@@ -168,8 +179,11 @@ TEST(BlockedSession, BatcherTileAlignedFlushesHonorMaxWaitForLoneRequests) {
   const std::size_t burst = 2 * tile + 3;
   const std::vector<double> flat = random_batch(burst, net.input_dim(), 29);
   const BatchView view(flat, net.input_dim());
+  std::vector<std::uint32_t> patterns;
+  for (const double v : flat) patterns.push_back(encode(v));
+  const PatternView pview(patterns, net.input_dim());
   std::vector<std::future<serve::Reply>> futs;
-  for (std::size_t i = 0; i < burst; ++i) futs.push_back(batcher.submit(view.row(i)));
+  for (std::size_t i = 0; i < burst; ++i) futs.push_back(batcher.submit(pview.row(i)));
 
   Session direct(model, {1, nullptr});
   const BatchResult<std::uint32_t> want = direct.forward_bits(view);

@@ -1,9 +1,12 @@
-// Model::forward_tile_into encodes its inputs through the input format's
-// shared encode table (n <= 8). Feed it the encoder's hard cases — ±0,
-// ±Inf, NaN, ±DBL_MAX, ±denorm_min, ±minpos/2 and the neighbours of every
-// rounding boundary — on the blocked and the step path, and compare the
-// readout with the same model fed the generic encoder's patterns decoded
-// back to doubles (a representable value encodes to itself).
+// Model::forward_tile_into's two input stages, on the blocked and the step
+// path. The double entry encodes through the input format's shared encode
+// table (n <= 8): feed it the encoder's hard cases — ±0, ±Inf, NaN,
+// ±DBL_MAX, ±denorm_min, ±minpos/2 and the neighbours of every rounding
+// boundary — and compare the readout with the same model fed the generic
+// encoder's patterns decoded back to doubles (a representable value encodes
+// to itself). The pattern entry reads each word as the value it decodes to:
+// feed it every pattern of every paper-grid format, each again with garbage
+// above bit n, and compare with the double entry fed those values.
 
 #include <gtest/gtest.h>
 
@@ -54,11 +57,32 @@ std::vector<double> specials(const num::Format& fmt) {
   return xs;
 }
 
-std::vector<std::uint32_t> readout(const Model& model, const std::vector<double>& row) {
+/// What a wire client may send in `fmt`: every pattern (for n > 8, a
+/// sample that keeps each end of both halves), then each again with
+/// garbage above bit n.
+std::vector<std::uint32_t> wire_words(const num::Format& fmt) {
+  const std::uint32_t count = std::uint32_t{1} << fmt.total_bits();
+  std::vector<std::uint32_t> words;
+  if (count <= 256) {
+    for (std::uint32_t p = 0; p < count; ++p) words.push_back(p);
+  } else {
+    const std::uint32_t stride = count / 128;
+    for (std::uint32_t p = 0; p < count; p += stride) {
+      words.insert(words.end(), {p, p + 1, p + stride - 1});
+    }
+  }
+  const std::size_t clean = words.size();
+  for (std::size_t i = 0; i < clean; ++i) words.push_back(words[i] | 0xABCD0000u);
+  return words;
+}
+
+/// The readout of one row of doubles (BatchView) or patterns (PatternView).
+template <typename T>
+std::vector<std::uint32_t> readout(const Model& model, const std::vector<T>& row) {
   const std::size_t width = row.size();
   Scratch scratch = model.make_scratch();
   std::vector<std::uint32_t> out(width);
-  model.forward_tile_into(BatchView(row, width), 0, 1, scratch, out.data());
+  model.forward_tile_into(BasicBatchView<T>(row, width), 0, 1, scratch, out.data());
   return out;
 }
 
@@ -74,6 +98,25 @@ TEST(InputEncode, TableEncodesLikeGenericEncoderOnBothPaths) {
     for (const ForwardPath path : {ForwardPath::kBlocked, ForwardPath::kStep}) {
       const auto model = Model::create(identity_net(fmt, row.size()), path);
       EXPECT_EQ(readout(*model, row), readout(*model, pre_encoded))
+          << fmt.name() << (path == ForwardPath::kStep ? " step" : " blocked");
+    }
+  }
+}
+
+TEST(InputEncode, PatternEntryReadsEachWordAsItsDecodedValue) {
+  std::vector<num::Format> formats;
+  for (int n = 5; n <= 8; ++n) {
+    for (const num::Format& fmt : num::paper_format_grid(n)) formats.push_back(fmt);
+  }
+  formats.push_back(num::Format{num::PositFormat{16, 1}});
+  for (const num::Format& fmt : formats) {
+    const std::vector<std::uint32_t> words = wire_words(fmt);
+    const std::uint32_t mask = (std::uint32_t{1} << fmt.total_bits()) - 1;
+    std::vector<double> values;
+    for (const std::uint32_t w : words) values.push_back(fmt.to_double(w & mask));
+    for (const ForwardPath path : {ForwardPath::kBlocked, ForwardPath::kStep}) {
+      const auto model = Model::create(identity_net(fmt, words.size()), path);
+      EXPECT_EQ(readout(*model, words), readout(*model, values))
           << fmt.name() << (path == ForwardPath::kStep ? " step" : " blocked");
     }
   }

@@ -68,7 +68,7 @@ TEST(ServeBatcher, LoneRequestFlushesOnDeadline) {
   DynamicBatcher batcher(model, opts);
 
   const std::vector<double> x = random_rows(1, model->input_dim(), 1);
-  std::future<Reply> fut = batcher.submit(x);
+  std::future<Reply> fut = batcher.submit(input_patterns(*model, x));
   ASSERT_EQ(fut.wait_for(5s), std::future_status::ready) << "the lone row was never carved";
   const Reply reply = fut.get();
   EXPECT_EQ(reply.status, Status::kOk);
@@ -92,11 +92,12 @@ TEST(ServeBatcher, ExactCapacityBurstCoalescesIntoOneFullBatch) {
 
   const std::size_t dim = model->input_dim();
   const std::vector<double> xs = random_rows(opts.max_batch + 1, dim, 2);
+  const std::vector<std::uint32_t> ps = input_patterns(*model, xs);
   DispatcherHold hold(batcher, std::span(xs).subspan(opts.max_batch * dim, dim));
   ASSERT_TRUE(hold.held());
   std::vector<std::future<Reply>> futures;
   for (std::size_t i = 0; i < opts.max_batch; ++i) {
-    futures.push_back(batcher.submit(std::span(xs).subspan(i * dim, dim)));
+    futures.push_back(batcher.submit(std::span(ps).subspan(i * dim, dim)));
   }
   EXPECT_EQ(batcher.stats().queue_depth, opts.max_batch);
   hold.release();
@@ -128,6 +129,7 @@ TEST(ServeBatcher, BacklogCarvesTrimToWholeTilesAndTheLastCarveDoesNot) {
   const std::size_t dim = model->input_dim();
   const std::size_t backlog = 3 * tile + 3;
   const std::vector<double> xs = random_rows(backlog + 1, dim, 7);
+  const std::vector<std::uint32_t> ps = input_patterns(*model, xs);
   DispatcherHold hold(batcher, std::span(xs).subspan(backlog * dim, dim));
   ASSERT_TRUE(hold.held());
   // completed is bumped before a batch's callbacks fire, so each row sees
@@ -137,7 +139,7 @@ TEST(ServeBatcher, BacklogCarvesTrimToWholeTilesAndTheLastCarveDoesNot) {
   for (std::size_t i = 0; i < backlog; ++i) {
     auto promise = std::make_shared<std::promise<Reply>>();
     futures.push_back(promise->get_future());
-    batcher.submit(std::span(xs).subspan(i * dim, dim),
+    batcher.submit(std::span(ps).subspan(i * dim, dim),
                    [&, i, promise](Status s, std::span<const std::uint32_t> bits) {
                      completed_seen[i] = batcher.stats().completed;
                      promise->set_value(Reply{s, {bits.begin(), bits.end()}});
@@ -164,16 +166,17 @@ TEST(ServeBatcher, AdmissionRejectsWithQueueFullAndDrainServesTheAccepted) {
 
   const std::size_t dim = model->input_dim();
   const std::vector<double> xs = random_rows(7, dim, 3);
+  const std::vector<std::uint32_t> ps = input_patterns(*model, xs);
   std::future<void> stopped;  // declared before the hold: joined after it opens
   DispatcherHold hold(batcher, std::span(xs).subspan(6 * dim, dim));
   ASSERT_TRUE(hold.held());
   std::vector<std::future<Reply>> accepted;
   for (std::size_t i = 0; i < 4; ++i) {
-    accepted.push_back(batcher.submit(std::span(xs).subspan(i * dim, dim)));
+    accepted.push_back(batcher.submit(std::span(ps).subspan(i * dim, dim)));
   }
   // 5th and 6th hit the bound: completed immediately, nothing queued.
   for (std::size_t i = 4; i < 6; ++i) {
-    std::future<Reply> rejected = batcher.submit(std::span(xs).subspan(i * dim, dim));
+    std::future<Reply> rejected = batcher.submit(std::span(ps).subspan(i * dim, dim));
     ASSERT_EQ(rejected.wait_for(0s), std::future_status::ready)
         << "backpressure must reject at admission, not after a wait";
     EXPECT_EQ(rejected.get().status, Status::kQueueFull);
@@ -203,7 +206,8 @@ TEST(ServeBatcher, SubmitAfterShutdownCompletesWithShutdownStatus) {
   const auto model = small_model();
   DynamicBatcher batcher(model, {});
   batcher.shutdown();
-  std::future<Reply> fut = batcher.submit(random_rows(1, model->input_dim(), 4));
+  std::future<Reply> fut = batcher.submit(
+      input_patterns(*model, random_rows(1, model->input_dim(), 4)));
   ASSERT_EQ(fut.wait_for(0s), std::future_status::ready);
   EXPECT_EQ(fut.get().status, Status::kShutdown);
   EXPECT_EQ(batcher.stats().rejected, 1u);
@@ -212,7 +216,7 @@ TEST(ServeBatcher, SubmitAfterShutdownCompletesWithShutdownStatus) {
 TEST(ServeBatcher, ValidatesSampleDimensionAndOptions) {
   const auto model = small_model();
   DynamicBatcher batcher(model, {});
-  const std::vector<double> short_x(model->input_dim() - 1, 0.5);
+  const std::vector<std::uint32_t> short_x(model->input_dim() - 1, 0);
   EXPECT_THROW(batcher.submit(short_x), std::invalid_argument);
 
   EXPECT_THROW(DynamicBatcher(nullptr, {}), std::invalid_argument);
@@ -245,13 +249,14 @@ TEST(ServeBatcher, OverlappingMicroBatchesCompleteOutOfOrderPerRequest) {
 
     const std::vector<double> xs =
         random_rows(big + 1, dim, static_cast<std::uint32_t>(100 + attempt));
+    const std::vector<std::uint32_t> ps = input_patterns(*model, xs);
     std::atomic<std::size_t> big_done{0};  // incremented inside completion callbacks
     std::atomic<bool> lone_overtook{false};
     std::vector<std::promise<Reply>> big_promises(big);
     std::vector<std::future<Reply>> big_futures;
     for (std::size_t i = 0; i < big; ++i) {
       big_futures.push_back(big_promises[i].get_future());
-      batcher.submit(std::span(xs).subspan(i * dim, dim),
+      batcher.submit(std::span(ps).subspan(i * dim, dim),
                      [&, i](Status s, std::span<const std::uint32_t> bits) {
                        big_done.fetch_add(1);
                        big_promises[i].set_value(Reply{s, {bits.begin(), bits.end()}});
@@ -268,7 +273,7 @@ TEST(ServeBatcher, OverlappingMicroBatchesCompleteOutOfOrderPerRequest) {
     }
     std::promise<Reply> lone_promise;
     std::future<Reply> lone_future = lone_promise.get_future();
-    batcher.submit(std::span(xs).subspan(big * dim, dim),
+    batcher.submit(std::span(ps).subspan(big * dim, dim),
                    [&](Status s, std::span<const std::uint32_t> bits) {
                      if (big_done.load() < big) lone_overtook = true;
                      lone_promise.set_value(Reply{s, {bits.begin(), bits.end()}});
@@ -304,7 +309,7 @@ TEST(ServeBatcher, ExpiredDeadlineIsShedInlineWithoutQueueing) {
   std::promise<Reply> promise;
   std::future<Reply> fut = promise.get_future();
   batcher.submit(
-      x,
+      input_patterns(*model, x),
       [&promise](Status s, std::span<const std::uint32_t> bits) {
         promise.set_value(Reply{s, {bits.begin(), bits.end()}});
       },
@@ -336,7 +341,7 @@ TEST(ServeBatcher, DeadlineExpiringWhileQueuedIsShedBeforeTheSession) {
     auto promise = std::make_shared<std::promise<Reply>>();
     doomed = promise->get_future();
     batcher.submit(
-        x,
+        input_patterns(*model, x),
         [promise](Status s, std::span<const std::uint32_t> bits) {
           promise->set_value(Reply{s, {bits.begin(), bits.end()}});
         },
@@ -358,7 +363,7 @@ TEST(ServeBatcher, DeadlineExpiringWhileQueuedIsShedBeforeTheSession) {
   EXPECT_EQ(stats.batches, 1u);
 
   // The batcher still serves in-budget requests afterwards.
-  std::future<Reply> ok = batcher.submit(x);
+  std::future<Reply> ok = batcher.submit(input_patterns(*model, x));
   ASSERT_EQ(ok.wait_for(5s), std::future_status::ready);
   EXPECT_EQ(ok.get().bits, direct_bits(model, x));
 }

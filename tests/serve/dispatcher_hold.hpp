@@ -10,29 +10,43 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <latch>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "numeric/encode_table.hpp"
 #include "serve/batcher.hpp"
 #include "serve/wait.hpp"
 
 namespace dp::serve {
 
+/// `x` as a batcher admits it: each value encoded into the model's input
+/// format by the one encode rule (num::Encoder), as a wire client would.
+inline std::vector<std::uint32_t> input_patterns(const runtime::Model& model,
+                                                 std::span<const double> x) {
+  const num::Encoder encode(model.input_format());
+  std::vector<std::uint32_t> patterns;
+  patterns.reserve(x.size());
+  for (const double v : x) patterns.push_back(encode(v));
+  return patterns;
+}
+
 /// Holds one dispatcher of `batcher` from construction until release() (or
-/// destruction) with a row of input `x`, which also serves as the input of
-/// shutdown_begun()'s probes. Declare it AFTER the batcher or server it holds, so that it
-/// is released before their shutdown joins the dispatcher.
+/// destruction) with a row of input `x` (encoded by input_patterns()), which
+/// also serves as the input of shutdown_begun()'s probes.
+/// Declare it AFTER the batcher or server it holds, so that it is released
+/// before their shutdown joins the dispatcher.
 class DispatcherHold {
  public:
   DispatcherHold(DynamicBatcher& batcher, std::span<const double> x)
       : batcher_(&batcher),
-        x_(x.begin(), x.end()),
+        x_(input_patterns(batcher.model(), x)),
         state_(std::make_shared<State>()),
         running_(state_->running.get_future()) {
-    batcher.submit(x, [s = state_](Status status, std::span<const std::uint32_t> bits) {
+    batcher.submit(x_, [s = state_](Status status, std::span<const std::uint32_t> bits) {
       s->reply = Reply{status, {bits.begin(), bits.end()}};
       s->running.set_value();
       // Only a served row blocks: a rejection completes inline on the
@@ -83,7 +97,7 @@ class DispatcherHold {
     Reply reply;
   };
   DynamicBatcher* batcher_;
-  std::vector<double> x_;
+  std::vector<std::uint32_t> x_;
   // Shared with the callback, so the gate outlives whichever side ends last.
   std::shared_ptr<State> state_;
   std::future<void> running_;

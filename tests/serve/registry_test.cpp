@@ -97,10 +97,11 @@ TEST(ServeRegistry, SubmitThroughALeaseMatchesADirectSession) {
   const auto model = posit_model();
   registry.load("m", model);
   const std::vector<double> x = random_row(model->input_dim(), 1);
+  const std::vector<std::uint32_t> p = input_patterns(*model, x);
 
   ModelRegistry::Lease lease = registry.acquire("m");
   ASSERT_TRUE(lease);
-  std::future<Reply> fut = lease->batcher.submit(x);
+  std::future<Reply> fut = lease->batcher.submit(p);
   lease.release();
 
   const Reply reply = fut.get();
@@ -116,6 +117,7 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   const auto new_model = posit_model(43);  // same format, new weights: different bits
   registry.load("m", old_model);
   const std::vector<double> x = random_row(old_model->input_dim(), 2);
+  const std::vector<std::uint32_t> p = input_patterns(*old_model, x);
 
   // Park a request in the old entry behind its held dispatcher: only the
   // swap's drain may carve it.
@@ -126,7 +128,7 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   std::future<Reply> fut;
   {
     ModelRegistry::Lease lease = registry.acquire("m");
-    fut = lease->batcher.submit(x);
+    fut = lease->batcher.submit(p);
   }
   // Swap. load() must first wait out leases, then drain the old batcher —
   // the parked request is flushed through the OLD model's Session, and the
@@ -144,7 +146,7 @@ TEST(ServeRegistry, HotSwapDrainsTheParkedRequestOnTheOldModel) {
   // Requests resolved after the swap land on the new model.
   ModelRegistry::Lease lease = registry.acquire("m");
   EXPECT_EQ(lease->model.get(), new_model.get());
-  const Reply fresh = lease->batcher.submit(x).get();
+  const Reply fresh = lease->batcher.submit(p).get();
   runtime::Session new_direct(new_model);
   const auto want_new = new_direct.forward_bits(std::span<const double>(x));
   EXPECT_EQ(fresh.bits, std::vector<std::uint32_t>(want_new.begin(), want_new.end()));
@@ -189,11 +191,12 @@ TEST(ServeRegistry, UnloadDrainsRemovesAndClearsTheDefault) {
   const auto model = posit_model();
   registry.load("m", model);
   const std::vector<double> x = random_row(model->input_dim(), 3);
+  const std::vector<std::uint32_t> p = input_patterns(*model, x);
   DynamicBatcher& batcher = registry.acquire("m")->batcher;
   std::future<bool> unloaded;  // declared before the hold: joined after it opens
   DispatcherHold hold(batcher, x);
   ASSERT_TRUE(hold.held());
-  std::future<Reply> fut = registry.acquire("m")->batcher.submit(x);
+  std::future<Reply> fut = registry.acquire("m")->batcher.submit(p);
 
   EXPECT_FALSE(registry.unload("nope"));
   unloaded = std::async(std::launch::async, [&] { return registry.unload("m"); });
@@ -217,6 +220,7 @@ TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   registry.load("a", model);
   registry.load("b", model);
   const std::vector<double> x = random_row(model->input_dim(), 4);
+  const std::vector<std::uint32_t> p = input_patterns(*model, x);
   DynamicBatcher& a = registry.acquire("a")->batcher;
   DynamicBatcher& b = registry.acquire("b")->batcher;
   std::future<void> stopped;  // declared before the holds: joined after they open
@@ -224,8 +228,8 @@ TEST(ServeRegistry, ShutdownAllDrainsEverythingAndRefusesNewLoads) {
   DispatcherHold hold_b(b, x);
   ASSERT_TRUE(hold_a.held());
   ASSERT_TRUE(hold_b.held());
-  std::future<Reply> fa = registry.acquire("a")->batcher.submit(x);
-  std::future<Reply> fb = registry.acquire("b")->batcher.submit(x);
+  std::future<Reply> fa = registry.acquire("a")->batcher.submit(p);
+  std::future<Reply> fb = registry.acquire("b")->batcher.submit(p);
 
   // shutdown_all() drains the entries one after another, so each hold opens
   // once its own entry's drain has begun, whichever entry goes first.
@@ -266,6 +270,7 @@ TEST(ServeRegistry, RepeatedHotSwapUnderConcurrentSubmittersDropsNothing) {
   registry.load("m", model_a, opts);
 
   const std::vector<double> x = random_row(model_a->input_dim(), 5);
+  const std::vector<std::uint32_t> p = input_patterns(*model_a, x);
   runtime::Session direct(model_a);
   const auto want_span = direct.forward_bits(std::span<const double>(x));
   const std::vector<std::uint32_t> want(want_span.begin(), want_span.end());
@@ -280,7 +285,7 @@ TEST(ServeRegistry, RepeatedHotSwapUnderConcurrentSubmittersDropsNothing) {
       while (!stop.load()) {
         ModelRegistry::Lease lease = registry.acquire("m");
         ASSERT_TRUE(lease);  // the name exists throughout
-        std::future<Reply> fut = lease->batcher.submit(x);
+        std::future<Reply> fut = lease->batcher.submit(p);
         lease.release();
         const Reply reply = fut.get();
         if (reply.status != Status::kOk || reply.bits != want) {

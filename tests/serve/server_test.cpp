@@ -41,10 +41,10 @@ std::vector<double> random_rows(std::size_t rows, std::size_t dim, std::uint32_t
 
 // The acceptance test: across the whole paper format grid, a sample that
 // travels client -> frame -> batcher -> Session -> frame -> client produces
-// exactly the bits (and the prediction) a direct Session call produces. This
-// leans on RNE quantization being idempotent: the client quantizes features
-// into wire patterns, the server decodes them back to doubles, and the
-// Session's own quantization lands on the same patterns.
+// exactly the bits (and the prediction) a direct Session call produces: the
+// client quantizes features into wire patterns with num::Encoder, the rule
+// the Session applies to the same doubles, and the server hands those
+// patterns to the model unchanged.
 TEST(ServeServer, ServedBitsIdenticalToDirectSessionAcrossPaperGrid) {
   const nn::Mlp net = small_net();
   const std::size_t rows = 6;
