@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "numeric/format.hpp"
@@ -109,10 +110,28 @@ class Encoder {
     return table_ != nullptr ? table_->encode(x) : fmt_.from_double(x);
   }
 
-  /// A pattern encoded by the same rule as the value it decodes to:
-  /// fmt.from_double(fmt.to_double(p)) (EncodeTable::canonical).
-  std::uint32_t canonical(std::uint32_t p) const {
-    return table_ != nullptr ? table_->canonical(p) : fmt_.from_double(fmt_.to_double(p));
+  /// operator() on each of `xs`, the i-th pattern to out[i * stride] (the
+  /// table-or-not choice made once, outside the loop).
+  void encode(std::span<const double> xs, std::uint32_t* out, std::size_t stride) const {
+    if (const EncodeTable* table = table_.get()) {
+      for (std::size_t i = 0; i < xs.size(); ++i) out[i * stride] = table->encode(xs[i]);
+    } else {
+      for (std::size_t i = 0; i < xs.size(); ++i) out[i * stride] = fmt_.from_double(xs[i]);
+    }
+  }
+
+  /// Each of `ps` encoded by the same rule as the value it decodes to,
+  /// fmt.from_double(fmt.to_double(p)) (EncodeTable::canonical), the i-th
+  /// to out[i * stride].
+  void canonical(std::span<const std::uint32_t> ps, std::uint32_t* out,
+                 std::size_t stride) const {
+    if (const EncodeTable* table = table_.get()) {
+      for (std::size_t i = 0; i < ps.size(); ++i) out[i * stride] = table->canonical(ps[i]);
+    } else {
+      for (std::size_t i = 0; i < ps.size(); ++i) {
+        out[i * stride] = fmt_.from_double(fmt_.to_double(ps[i]));
+      }
+    }
   }
 
  private:

@@ -170,10 +170,7 @@ std::uint32_t* Model::input_lanes(std::size_t rows, std::size_t width, std::size
 void Model::forward_tile_into(BatchView xs, std::size_t row0, std::size_t nrows,
                               Scratch& scratch, std::uint32_t* out) const {
   std::uint32_t* bits = input_lanes(xs.rows(), xs.row_width(), row0, nrows, scratch);
-  for (std::size_t s = 0; s < nrows; ++s) {
-    const std::span<const double> row = xs.row(row0 + s);
-    for (std::size_t i = 0; i < row.size(); ++i) bits[i * tile_ + s] = input_encoder_(row[i]);
-  }
+  for (std::size_t s = 0; s < nrows; ++s) input_encoder_.encode(xs.row(row0 + s), bits + s, tile_);
   run_layers(nrows, scratch, out);
 }
 
@@ -181,10 +178,7 @@ void Model::forward_tile_into(PatternView xs, std::size_t row0, std::size_t nrow
                               Scratch& scratch, std::uint32_t* out) const {
   std::uint32_t* bits = input_lanes(xs.rows(), xs.row_width(), row0, nrows, scratch);
   for (std::size_t s = 0; s < nrows; ++s) {
-    const std::span<const std::uint32_t> row = xs.row(row0 + s);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      bits[i * tile_ + s] = input_encoder_.canonical(row[i]);
-    }
+    input_encoder_.canonical(xs.row(row0 + s), bits + s, tile_);
   }
   run_layers(nrows, scratch, out);
 }

@@ -636,10 +636,10 @@ std::uint64_t Client::send(std::span<const double> x, std::uint64_t deadline_bud
   frame.request_id = next_id_++;
   frame.model = model_name_;
   frame.deadline_us = deadline_budget_us;
-  frame.payload.reserve(x.size());
+  frame.payload.resize(x.size());
   // Requests are always INPUT-format patterns; replies come back in the
   // model's OUTPUT format (they differ for a mixed-precision model).
-  for (const double v : x) frame.payload.push_back(encode_(v));
+  encode_.encode(x, frame.payload.data(), 1);
   if (opts_.compress) {
     frame.payload_encoding = kPayloadEncodingCodec;
     frame.payload = codec::encode_payload(frame.payload, model_->input_format().total_bits());
